@@ -1,4 +1,4 @@
-// Serial vs sharded-parallel collect+infer throughput on a simulated
+// One-worker vs sharded-parallel collect+infer throughput on a simulated
 // multi-IXP week (the paper's deployment shape: 14 vantage points x 7
 // days).  Verifies bit-identical output while timing, prints a comparison
 // table with the per-stage split (sim / parse / insert / merge from
@@ -6,9 +6,10 @@
 // can track the speedup trajectory and a regression localizes to a stage
 // instead of one collect lump.
 //
-// Thread grid: 1 (the batched engine vs the record-at-a-time reference —
-// isolates the parse/insert refactor with no pool in the picture), then
-// 2 and 4.  Counts beyond the host's core budget only measure scheduler
+// The "serial" reference row is collect_stats with default options: the
+// batched engine on one worker and one shard, inline, with the one-thread
+// funnel.  Thread grid over 16 shards: 1 (sharding alone, no pool in the
+// picture), then 2 and 4.  Counts beyond the host's core budget only measure scheduler
 // thrash, so the old 8-thread row is gone; the recorded meta block says
 // how many cores the numbers were taken on and cmake/parallel_gate.cmake
 // only enforces a speedup floor when that context supports one.
@@ -100,8 +101,8 @@ int main() {
       "(best of %d) ==\n",
       ixps.size(), day_count, reps);
 
-  // Serial reference: record-at-a-time, one store — the oracle the
-  // differential tests pin every batched configuration against.
+  // Serial reference: collect_stats with default options (one batched
+  // worker, one shard) and the one-thread funnel.
   Measurement serial;
   pipeline::VantageStats serial_stats;
   pipeline::InferenceResult serial_result;

@@ -1,16 +1,15 @@
-// Micro-benchmarks for the inference pipeline itself: stats ingestion, the
-// per-block classification pass, and stats merge — each measured on the
-// columnar BlockStatsStore path and on an in-bench reconstruction of the
-// map-backed storage it replaced (node-based unordered_map + heap vector
-// of per-IP records + linear rx_ip probe).  main() times both paths
-// head-to-head and writes BENCH_store.json with throughput and
-// bytes-per-block before/after, then runs the google-benchmark suite.
+// Micro-benchmarks for the inference pipeline itself: stats ingestion
+// (VantageStats::add_flows, the batched ingest step on one store), the
+// per-block classification pass, and stats merge over the columnar
+// BlockStatsStore.  main() times ingest and merge and writes
+// BENCH_store.json with their times and the store's bytes-per-block and
+// layout diagnostics, then runs the google-benchmark suite.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -44,91 +43,6 @@ std::vector<flow::FlowRecord> make_flows(std::size_t count, std::uint64_t seed =
   return out;
 }
 
-// --- the pre-refactor storage layer, reconstructed as the baseline --------
-// Node-based map of per-block structs, each with a separately heap-
-// allocated vector of per-IP records found by linear scan — exactly what
-// pipeline::VantageStats used before BlockStatsStore.
-
-struct MapBlockObservation {
-  std::vector<pipeline::IpRxStats> rx_ips;
-  std::uint64_t rx_packets = 0;
-  std::uint64_t rx_tcp_packets = 0;
-  std::uint64_t rx_tcp_bytes = 0;
-  std::uint64_t rx_est_packets = 0;
-  std::uint64_t tx_packets = 0;
-  std::uint64_t tx_host_bits[4] = {0, 0, 0, 0};
-
-  pipeline::IpRxStats& rx_ip(std::uint8_t host) {
-    for (pipeline::IpRxStats& ip : rx_ips) {
-      if (ip.host == host) return ip;
-    }
-    rx_ips.push_back(pipeline::IpRxStats{host, 0, 0, 0});
-    return rx_ips.back();
-  }
-
-  void merge(const MapBlockObservation& other) {
-    for (const pipeline::IpRxStats& theirs : other.rx_ips) {
-      pipeline::IpRxStats& mine = rx_ip(theirs.host);
-      mine.packets += theirs.packets;
-      mine.tcp_packets += theirs.tcp_packets;
-      mine.tcp_bytes += theirs.tcp_bytes;
-    }
-    rx_packets += other.rx_packets;
-    rx_tcp_packets += other.rx_tcp_packets;
-    rx_tcp_bytes += other.rx_tcp_bytes;
-    rx_est_packets += other.rx_est_packets;
-    tx_packets += other.tx_packets;
-    for (int w = 0; w < 4; ++w) tx_host_bits[w] |= other.tx_host_bits[w];
-  }
-};
-
-struct MapStats {
-  std::unordered_map<net::Block24, MapBlockObservation> blocks;
-
-  void add_flows(std::span<const flow::FlowRecord> flows, std::uint32_t rate) {
-    for (const flow::FlowRecord& r : flows) {
-      MapBlockObservation& dst = blocks[net::Block24::containing(r.key.dst)];
-      dst.rx_packets += r.packets;
-      dst.rx_est_packets += r.packets * rate;
-      pipeline::IpRxStats& ip =
-          dst.rx_ip(static_cast<std::uint8_t>(r.key.dst.value() & 0xff));
-      ip.packets += static_cast<std::uint32_t>(r.packets);
-      if (r.key.proto == net::IpProto::kTcp) {
-        dst.rx_tcp_packets += r.packets;
-        dst.rx_tcp_bytes += r.bytes;
-        ip.tcp_packets += static_cast<std::uint32_t>(r.packets);
-        ip.tcp_bytes += r.bytes;
-      }
-      MapBlockObservation& src = blocks[net::Block24::containing(r.key.src)];
-      src.tx_packets += r.packets;
-      const auto host = static_cast<std::uint8_t>(r.key.src.value() & 0xff);
-      src.tx_host_bits[host >> 6] |= std::uint64_t{1} << (host & 63);
-    }
-  }
-
-  void merge(const MapStats& other) {
-    for (const auto& [block, obs] : other.blocks) blocks[block].merge(obs);
-  }
-
-  // Heap footprint estimate: bucket array + one node per entry (next
-  // pointer + pair, plus a malloc header) + each block's rx_ips heap
-  // allocation.  Deliberately charitable to the map — allocator slack
-  // beyond the 16-byte header is not counted.
-  [[nodiscard]] std::size_t memory_bytes() const {
-    constexpr std::size_t kMallocHeader = 16;
-    constexpr std::size_t kNodeBytes =
-        sizeof(void*) + sizeof(std::pair<const net::Block24, MapBlockObservation>);
-    std::size_t total = blocks.bucket_count() * sizeof(void*) +
-                        blocks.size() * (kNodeBytes + kMallocHeader);
-    for (const auto& [block, obs] : blocks) {
-      if (obs.rx_ips.capacity() > 0) {
-        total += obs.rx_ips.capacity() * sizeof(pipeline::IpRxStats) + kMallocHeader;
-      }
-    }
-    return total;
-  }
-};
-
 // --- google-benchmark suite ------------------------------------------------
 
 void BM_StatsAddFlows(benchmark::State& state) {
@@ -141,17 +55,6 @@ void BM_StatsAddFlows(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_StatsAddFlows)->Arg(10'000)->Arg(500'000);
-
-void BM_StatsAddFlows_MapBaseline(benchmark::State& state) {
-  const auto flows = make_flows(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    MapStats stats;
-    stats.add_flows(flows, 100);
-    benchmark::DoNotOptimize(stats.blocks.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_StatsAddFlows_MapBaseline)->Arg(10'000)->Arg(500'000);
 
 void BM_InferenceClassify(benchmark::State& state) {
   const auto flows = make_flows(static_cast<std::size_t>(state.range(0)));
@@ -212,23 +115,7 @@ void BM_StatsMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_StatsMerge);
 
-void BM_StatsMerge_MapBaseline(benchmark::State& state) {
-  const auto flows_a = make_flows(100'000);
-  const auto flows_b = make_flows(100'000, 29);
-  MapStats a;
-  a.add_flows(flows_a, 100);
-  MapStats b;
-  b.add_flows(flows_b, 100);
-  for (auto _ : state) {
-    MapStats merged = a;
-    merged.merge(b);
-    benchmark::DoNotOptimize(merged.blocks.size());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_StatsMerge_MapBaseline);
-
-// --- head-to-head comparison + BENCH_store.json ---------------------------
+// --- BENCH_store.json -------------------------------------------------------
 
 double now_ms() {
   return std::chrono::duration<double, std::milli>(
@@ -252,57 +139,34 @@ void write_store_report() {
   const auto flows = make_flows(kFlows);
   const auto flows_b = make_flows(kFlows / 5, 29);
 
-  const double store_ingest_ms = best_of_ms(3, [&] {
+  const double ingest_ms = best_of_ms(3, [&] {
     pipeline::VantageStats stats;
     stats.add_flows(flows, 100, 0);
     benchmark::DoNotOptimize(stats.blocks().size());
-  });
-  const double map_ingest_ms = best_of_ms(3, [&] {
-    MapStats stats;
-    stats.add_flows(flows, 100);
-    benchmark::DoNotOptimize(stats.blocks.size());
   });
 
   pipeline::VantageStats store_a;
   store_a.add_flows(flows, 100, 0);
   pipeline::VantageStats store_b;
   store_b.add_flows(flows_b, 100, 1);
-  MapStats map_a;
-  map_a.add_flows(flows, 100);
-  MapStats map_b;
-  map_b.add_flows(flows_b, 100);
-
-  const double store_merge_ms = best_of_ms(3, [&] {
+  const double merge_ms = best_of_ms(3, [&] {
     pipeline::VantageStats merged = store_a;
     merged.merge(store_b);
     benchmark::DoNotOptimize(merged.blocks().size());
   });
-  const double map_merge_ms = best_of_ms(3, [&] {
-    MapStats merged = map_a;
-    merged.merge(map_b);
-    benchmark::DoNotOptimize(merged.blocks.size());
-  });
 
-  const std::size_t blocks = store_a.blocks().size();
-  const double store_bpb =
-      static_cast<double>(store_a.blocks().memory_bytes()) / static_cast<double>(blocks);
-  const double map_bpb =
-      static_cast<double>(map_a.memory_bytes()) / static_cast<double>(map_a.blocks.size());
-  const double ingest_speedup = map_ingest_ms / store_ingest_ms;
-  const double merge_speedup = map_merge_ms / store_merge_ms;
+  const pipeline::BlockStatsStore& store = store_a.blocks();
+  const std::size_t blocks = store.size();
+  const double bytes_per_block =
+      static_cast<double>(store.memory_bytes()) / static_cast<double>(blocks);
 
-  std::printf("== BlockStatsStore vs map baseline (%zu flows, %zu blocks) ==\n", kFlows,
-              blocks);
-  std::printf("  add_flows  store %8.1f ms   map %8.1f ms   speedup %.2fx\n",
-              store_ingest_ms, map_ingest_ms, ingest_speedup);
-  std::printf("  merge      store %8.1f ms   map %8.1f ms   speedup %.2fx\n",
-              store_merge_ms, map_merge_ms, merge_speedup);
-  std::printf("  bytes/blk  store %8.1f      map %8.1f      reduction %.1f%%\n", store_bpb,
-              map_bpb, 100.0 * (1.0 - store_bpb / map_bpb));
-  std::printf("  store: load_factor %.2f, arena_spills %llu, arena_wasted_ips %llu\n",
-              store_a.blocks().load_factor(),
-              static_cast<unsigned long long>(store_a.blocks().arena_spills()),
-              static_cast<unsigned long long>(store_a.blocks().arena_wasted_ips()));
+  std::printf("== BlockStatsStore (%zu flows, %zu blocks) ==\n", kFlows, blocks);
+  std::printf("  add_flows  %8.1f ms\n", ingest_ms);
+  std::printf("  merge      %8.1f ms\n", merge_ms);
+  std::printf("  bytes/blk  %8.1f\n", bytes_per_block);
+  std::printf("  load_factor %.2f, arena_spills %llu, arena_wasted_ips %llu\n",
+              store.load_factor(), static_cast<unsigned long long>(store.arena_spills()),
+              static_cast<unsigned long long>(store.arena_wasted_ips()));
 
   std::ofstream json("BENCH_store.json");
   json << "{\n"
@@ -311,18 +175,12 @@ void write_store_report() {
   json << ",\n"
        << "  \"workload\": {\"flows\": " << kFlows << ", \"blocks\": " << blocks
        << ", \"merge_other_flows\": " << flows_b.size() << "},\n"
-       << "  \"store\": {\"add_flows_ms\": " << store_ingest_ms
-       << ", \"merge_ms\": " << store_merge_ms << ", \"bytes_per_block\": " << store_bpb
-       << ", \"memory_bytes\": " << store_a.blocks().memory_bytes()
-       << ", \"load_factor\": " << store_a.blocks().load_factor()
-       << ", \"arena_spills\": " << store_a.blocks().arena_spills()
-       << ", \"arena_wasted_ips\": " << store_a.blocks().arena_wasted_ips() << "},\n"
-       << "  \"map_baseline\": {\"add_flows_ms\": " << map_ingest_ms
-       << ", \"merge_ms\": " << map_merge_ms << ", \"bytes_per_block\": " << map_bpb
-       << ", \"memory_bytes\": " << map_a.memory_bytes() << "},\n"
-       << "  \"add_flows_speedup\": " << ingest_speedup << ",\n"
-       << "  \"merge_speedup\": " << merge_speedup << ",\n"
-       << "  \"bytes_per_block_reduction\": " << (1.0 - store_bpb / map_bpb) << "\n"
+       << "  \"store\": {\"add_flows_ms\": " << ingest_ms << ", \"merge_ms\": " << merge_ms
+       << ", \"bytes_per_block\": " << bytes_per_block
+       << ", \"memory_bytes\": " << store.memory_bytes()
+       << ", \"load_factor\": " << store.load_factor()
+       << ", \"arena_spills\": " << store.arena_spills()
+       << ", \"arena_wasted_ips\": " << store.arena_wasted_ips() << "}\n"
        << "}\n";
   std::printf("  wrote BENCH_store.json\n");
 }

@@ -28,9 +28,8 @@ void FlowBatch::decode(std::span<const FlowRecord> records, std::uint32_t sampli
   dst_port_.reserve(n);
 
   for (const FlowRecord& r : records) {
-    // The exact arithmetic of the per-record path (VantageStats::
-    // add_flow_rx/tx): block id = address >> 8, host = low octet, volume
-    // estimate = sampled packets x exporter sampling rate.
+    // Block id = address >> 8, host = low octet, volume estimate =
+    // sampled packets x exporter sampling rate.
     dst_block_.push_back(net::Block24::containing(r.key.dst).index());
     dst_host_.push_back(static_cast<std::uint8_t>(r.key.dst.value() & 0xff));
     src_block_.push_back(net::Block24::containing(r.key.src).index());

@@ -1,11 +1,11 @@
 // FlowBatch: struct-of-arrays decode of the ingest-hot FlowRecord fields.
 //
-// The collector's per-record path touches a FlowRecord's scattered fields
-// (two addresses, proto, packets, bytes) and recomputes both /24 block ids
-// inside every store call.  At paper scale that per-record dance — field
-// loads across a 64-byte struct, two Block24::containing calls, the
-// branchy TCP test — sits between the exporter and the store on every one
-// of millions of flows per day.
+// Inserting FlowRecords one at a time touches each record's scattered
+// fields (two addresses, proto, packets, bytes) and recomputes both /24
+// block ids inside every store call.  At paper scale that per-record dance
+// — field loads across a 64-byte struct, two Block24::containing calls,
+// the branchy TCP test — would sit between the exporter and the store on
+// every one of millions of flows per day.
 //
 // A FlowBatch decodes the hot fields of many records at once into flat
 // parallel arrays *before* any store is touched: block ids and host octets
@@ -13,13 +13,14 @@
 // vectorizable multiply over the packets column, and the TCP predicate
 // becomes a byte per record instead of an enum compare in the middle of the
 // insert loop.  Downstream stages (shard routing, store insertion — see
-// pipeline/shard_router.hpp and VantageStats::add_batch_rx/tx) then run
-// tight loops over these columns with no FlowRecord in sight.
+// pipeline/shard_router.hpp and VantageStats::add_batch) then run tight
+// loops over these columns with no FlowRecord in sight.  Every ingest goes
+// through it: ParallelCollector's workers and VantageStats::add_flows.
 //
 // Decoding is pure projection: every column value is computed from one
-// record with the same arithmetic the per-record path uses, so a batch of
-// size 1 is bit-identical to the per-record path by construction (the
-// batched differential grid in tests/test_parallel_pipeline pins the rest).
+// record alone, so the batch size cannot change what the store holds (the
+// batched differential grid in tests/test_parallel_pipeline pins sizes 1,
+// 64 and 4096 against a per-record referee kept under tests/).
 #pragma once
 
 #include <cstdint>

@@ -7,8 +7,9 @@
 // week of ingest work to retire one day.  Instead the window retains one
 // VantageStats *per day* (the per-day delta), so
 //
-//   admit  — route a dataset to its day's slice: O(dataset), touches no
-//            other day;
+//   admit  — route a dataset to its day's slice through
+//            VantageStats::add_flows, the same batched step the batch
+//            collector runs: O(dataset), touches no other day;
 //   evict  — drop the slice that aged out: O(1), no subtraction, no
 //            rescan (subtracting stats from a merged store is impossible
 //            anyway: max-like fields such as the source bitmap and the
@@ -23,8 +24,9 @@
 // set union — commutative and associative — so partitioning by day and
 // re-merging cannot change the result, regardless of arrival order or
 // merge-tree shape.  tests/test_ingest_window.cpp proves it differentially
-// down to the serialized snapshot bytes; the window laws themselves are
-// property-tested in tests/test_pipeline_properties.cpp.
+// against a per-record referee and down to the serialized snapshot bytes;
+// the window laws themselves are property-tested in
+// tests/test_pipeline_properties.cpp.
 #pragma once
 
 #include <cstdint>

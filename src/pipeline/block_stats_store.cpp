@@ -286,21 +286,6 @@ void BlockStatsStore::merge_ips(std::uint32_t row, std::span<const IpRxStats> th
   slot.count = static_cast<std::uint16_t>(n);
 }
 
-void BlockStatsStore::add_rx(net::Block24 block, std::uint8_t host, std::uint64_t packets,
-                             std::uint64_t est_packets, bool tcp, std::uint64_t tcp_bytes) {
-  const std::uint32_t row = find_or_insert(block);
-  rx_packets_[row] += packets;
-  rx_est_packets_[row] += est_packets;
-  IpRxStats& ip = upsert_ip(row, host);
-  ip.packets += static_cast<std::uint32_t>(packets);
-  if (tcp) {
-    rx_tcp_packets_[row] += packets;
-    rx_tcp_bytes_[row] += tcp_bytes;
-    ip.tcp_packets += static_cast<std::uint32_t>(packets);
-    ip.tcp_bytes += tcp_bytes;
-  }
-}
-
 void BlockStatsStore::add_rx_rows(std::span<const std::uint32_t> rows,
                                   std::span<const std::uint32_t> keys,
                                   std::span<const std::uint8_t> hosts,
@@ -312,7 +297,7 @@ void BlockStatsStore::add_rx_rows(std::span<const std::uint32_t> rows,
   constexpr std::size_t kUpdateAhead = 8;
 
   // Pass 1: resolve every key to its dense row (creating first-seen rows
-  // exactly where the interleaved loop would), slot lines pulled ahead.
+  // in first-occurrence order), slot lines pulled ahead.
   row_scratch_.resize(rows.size());
   for (std::size_t k = 0; k < rows.size(); ++k) {
     if (k + kProbeAhead < rows.size()) {

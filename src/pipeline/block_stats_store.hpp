@@ -3,9 +3,8 @@
 //
 // The paper's funnel (§4.2, Figure 2) covers millions of /24s — ~6M seen,
 // 3.8M gray — and collect/infer over that population is won or lost on
-// memory layout, not instruction count.  The node-based
-// unordered_map<Block24, BlockObservation> it replaces paid a pointer
-// chase per block plus a heap-allocated vector per block for a handful of
+// memory layout, not instruction count.  The node-based unordered_map of
+// per-block structs it replaced paid a pointer chase per block plus a heap-allocated vector per block for a handful of
 // per-IP records; this store keeps everything in flat arrays:
 //
 //   * an open-addressing index (linear probing, Fibonacci hashing of the
@@ -32,9 +31,9 @@
 // Everything the store accumulates is a sum, a bitwise OR, or a sorted
 // multiset union keyed by host — commutative and associative — so results
 // are bit-identical no matter how ingestion is partitioned (the
-// thread×shard differential grid in tests/test_parallel_pipeline is the
-// oracle, and tests/test_block_stats_store pins the store against a
-// map-backed reference implementation differentially).
+// thread×shard×batch grids in tests/test_parallel_pipeline check it
+// against a per-record std::map referee, and tests/test_block_stats_store
+// pins the store against a map-backed reference differentially).
 #pragma once
 
 #include <array>
@@ -185,8 +184,8 @@ class BlockStatsStore {
   /// already has the capacity.
   void reserve_rows(std::size_t rows);
 
-  /// Hint that `block` is about to be probed (add_rx/add_tx/find/merge).
-  /// Pulls the slot cache line the probe will start at.  The batched
+  /// Hint that `block` is about to be probed (add_rx_rows/add_tx/find/
+  /// merge): pulls the slot cache line the probe will start at.  The batched
   /// ingest path knows its keys a whole FlowBatch ahead, so it issues
   /// these ~16 rows early and the index misses overlap instead of
   /// serializing — the memory-level parallelism a record-at-a-time
@@ -199,19 +198,15 @@ class BlockStatsStore {
 #endif
   }
 
-  /// Destination-side accounting for one flow record's worth of traffic
-  /// toward `host` inside `block`.
-  void add_rx(net::Block24 block, std::uint8_t host, std::uint64_t packets,
-              std::uint64_t est_packets, bool tcp, std::uint64_t tcp_bytes);
-
-  /// Batched add_rx over a routed run: `rows` indexes into the parallel
-  /// column spans (a FlowBatch's SoA layout).  Runs in two passes — probe
-  /// every key into a row scratch first, then apply the column updates —
-  /// so the index misses of upcoming probes and the column/ip-run misses
-  /// of upcoming updates are both in flight while the current row
-  /// retires.  Exactly equivalent to calling add_rx once per row in
-  /// order: pass one creates rows at first occurrence just like the
-  /// interleaved loop, pass two adds commutative sums.
+  /// Destination-side accounting over a routed run: for each k, the
+  /// traffic of batch row rows[k] toward host hosts[rows[k]] inside block
+  /// keys[rows[k]] (`rows` indexes into the parallel column spans, a
+  /// FlowBatch's SoA layout).  Runs in two passes — probe every key into
+  /// a row scratch first, then apply the column updates — so the index
+  /// misses of upcoming probes and the column/ip-run misses of upcoming
+  /// updates are both in flight while the current row retires.  Pass one
+  /// creates rows in first-occurrence order, pass two adds commutative
+  /// sums, so the result equals one row-at-a-time update per entry.
   void add_rx_rows(std::span<const std::uint32_t> rows,
                    std::span<const std::uint32_t> keys,
                    std::span<const std::uint8_t> hosts,
@@ -359,8 +354,8 @@ class BlockStatsStore {
 
   IpArena arena_;
 
-  // Probe-phase output of add_rx_rows, kept across batches so the batched
-  // path never allocates per batch.  Pure scratch: not copied, not part
+  // Probe-phase output of add_rx_rows, kept across batches so ingest
+  // never allocates per batch.  Pure scratch: not copied, not part
   // of the store's logical state.
   std::vector<std::uint32_t> row_scratch_;
 };

@@ -27,24 +27,6 @@ void record_store_metrics(obs::MetricsRegistry& metrics, const VantageStats& sta
 
 VantageStats collect_stats(const sim::Simulation& simulation,
                            std::span<const std::size_t> ixp_indices,
-                           std::span<const int> days, obs::MetricsRegistry* metrics) {
-  obs::StageTimer total(metrics, "collect.total_us");
-  VantageStats stats(simulation.plan().universe_mask());
-  for (const int day : days) {
-    for (const std::size_t ixp : ixp_indices) {
-      obs::StageTimer ingest(metrics, "collect.ingest_us");
-      const sim::IxpDayData data = simulation.run_ixp_day(ixp, day);
-      stats.add_flows(data.flows, simulation.ixps()[ixp].sampling_rate(), day);
-      ingest.stop();
-      if (metrics != nullptr) record_dataset_metrics(*metrics, simulation, ixp, data);
-    }
-  }
-  if (metrics != nullptr) record_store_metrics(*metrics, stats);
-  return stats;
-}
-
-VantageStats collect_stats(const sim::Simulation& simulation,
-                           std::span<const std::size_t> ixp_indices,
                            std::span<const int> days, const CollectOptions& options) {
   return ParallelCollector(simulation, options).collect(ixp_indices, days);
 }

@@ -52,8 +52,8 @@ VantageStats ParallelCollector::collect(std::span<const std::size_t> ixp_indices
   obs::StageTimer total(metrics, "collect.total_us");
   const double wall_start = now_ms();
 
-  // Same dataset order as the serial path (days outer, IXPs inner); the
-  // round-robin deal below only matters for load balance, never output.
+  // Datasets in day-major order (days outer, IXPs inner); the round-robin
+  // deal below only matters for load balance, never output.
   std::vector<DatasetTask> tasks;
   tasks.reserve(days.size() * ixp_indices.size());
   for (const int day : days) {
@@ -106,12 +106,10 @@ VantageStats ParallelCollector::collect(std::span<const std::size_t> ixp_indices
         router.route(batch, shards);
         const double t1 = now_ms();
         times.parse += t1 - t0;
+        // The rx-routed runs partition the batch, so the analytics tap
+        // sees every record exactly once across the shard matrices.
         for (unsigned s = 0; s < shards; ++s) {
-          mine[s].add_batch_rx(batch, router.rx_rows(s));
-          mine[s].add_batch_tx(batch, router.tx_rows(s));
-          // The rx-routed runs partition the batch, so the analytics tap
-          // sees every record exactly once across the shard matrices.
-          mine[s].add_analytics_batch(batch, router.rx_rows(s), tasks[t].day);
+          mine[s].add_batch(batch, router.rx_rows(s), router.tx_rows(s), tasks[t].day);
         }
         times.insert += now_ms() - t1;
       }

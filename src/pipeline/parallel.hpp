@@ -1,10 +1,11 @@
 // Sharded parallel collect/infer engine.
 //
 // The paper's deployment digests sampled IPFIX from 14 IXPs covering
-// millions of /24s per day; one thread ingesting vantage-days serially is
+// millions of /24s per day; one thread ingesting vantage-days in turn is
 // the scalability wall.  This module fans the work out while keeping the
-// output *bit-identical* to the serial path (tests/test_parallel_pipeline
-// proves it differentially, down to batch size 1):
+// output *bit-identical* for every thread, shard and batch count
+// (tests/test_parallel_pipeline proves it against a per-record std::map
+// referee kept under tests/, down to batch size 1):
 //
 //   collect — vantage-day datasets are dealt round-robin to N workers.
 //     Each worker runs the ingestion pipeline in stages (DESIGN.md §14):
@@ -13,10 +14,12 @@
 //                SoA columns and pipeline::ShardRouter counting-sorts the
 //                batch rows by Block24 % shards, once per batch;
 //       insert — each routed run lands in the worker's shard-affine
-//                VantageStats (stores pre-partitioned by the same
-//                Block24 % shards key the rows were dealt by, pre-sized
-//                from the batch statistics), so a store's index stays
-//                cache-hot for a whole run and no lock is ever taken;
+//                VantageStats through VantageStats::add_batch, the step
+//                VantageStats::add_flows runs on one store (stores pre-
+//                partitioned by the same Block24 % shards key the rows
+//                were dealt by, pre-sized from the batch statistics), so
+//                a store's index stays cache-hot for a whole run and no
+//                lock is ever taken;
 //       merge  — shard columns are disjoint key spaces by construction,
 //                so the cross-worker reduction is one fold task per shard
 //                on the same pool (no locks, no cross-shard traffic, no
@@ -56,7 +59,7 @@ namespace mtscope::pipeline {
 struct CollectProfile {
   double sim_ms = 0.0;     // run_ixp_day: synthesis, export, IPFIX decode
   double parse_ms = 0.0;   // FlowBatch::decode + ShardRouter::route
-  double insert_ms = 0.0;  // add_batch_rx / add_batch_tx into shard stores
+  double insert_ms = 0.0;  // VantageStats::add_batch into shard stores
   double merge_ms = 0.0;   // per-shard-column folds + final disjoint fold
   double total_ms = 0.0;   // wall clock of the whole collect()
 };
@@ -101,7 +104,7 @@ class ParallelCollector {
  public:
   ParallelCollector(const sim::Simulation& simulation, CollectOptions options);
 
-  /// Parallel equivalent of collect_stats(simulation, ixp_indices, days).
+  /// Merged stats over `ixp_indices` x `days` (what collect_stats returns).
   [[nodiscard]] VantageStats collect(std::span<const std::size_t> ixp_indices,
                                      std::span<const int> days) const;
 

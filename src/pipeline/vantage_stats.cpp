@@ -1,83 +1,24 @@
 #include "pipeline/vantage_stats.hpp"
 
+#include <algorithm>
+
+#include "pipeline/shard_router.hpp"
+
 namespace mtscope::pipeline {
 
-IpRxStats& BlockObservation::rx_ip(std::uint8_t host) {
-  // rx_ips is kept sorted by host, so lookup is a binary search and merge
-  // below stays linear (the old linear probe made dense-block merges
-  // quadratic).
-  const auto it = std::lower_bound(
-      rx_ips.begin(), rx_ips.end(), host,
-      [](const IpRxStats& ip, std::uint8_t h) { return ip.host < h; });
-  if (it != rx_ips.end() && it->host == host) return *it;
-  return *rx_ips.insert(it, IpRxStats{host, 0, 0, 0});
-}
-
-void BlockObservation::merge(const BlockObservation& other) {
-  // Linear two-run union over the sorted rx_ips.
-  std::vector<IpRxStats> merged;
-  merged.reserve(rx_ips.size() + other.rx_ips.size());
-  auto mine = rx_ips.begin();
-  auto theirs = other.rx_ips.begin();
-  while (mine != rx_ips.end() && theirs != other.rx_ips.end()) {
-    if (mine->host < theirs->host) {
-      merged.push_back(*mine++);
-    } else if (mine->host > theirs->host) {
-      merged.push_back(*theirs++);
-    } else {
-      IpRxStats combined = *mine++;
-      combined.packets += theirs->packets;
-      combined.tcp_packets += theirs->tcp_packets;
-      combined.tcp_bytes += theirs->tcp_bytes;
-      ++theirs;
-      merged.push_back(combined);
-    }
-  }
-  merged.insert(merged.end(), mine, rx_ips.end());
-  merged.insert(merged.end(), theirs, other.rx_ips.end());
-  rx_ips = std::move(merged);
-
-  rx_packets += other.rx_packets;
-  rx_tcp_packets += other.rx_tcp_packets;
-  rx_tcp_bytes += other.rx_tcp_bytes;
-  rx_est_packets += other.rx_est_packets;
-  tx_packets += other.tx_packets;
-  for (int w = 0; w < 4; ++w) tx_host_bits[w] |= other.tx_host_bits[w];
-}
-
 void VantageStats::note_day(int day) { days_.insert(day); }
-
-void VantageStats::add_flow_rx(const flow::FlowRecord& r, std::uint32_t sampling_rate) {
-  ++flows_;
-  store_.add_rx(net::Block24::containing(r.key.dst),
-                static_cast<std::uint8_t>(r.key.dst.value() & 0xff), r.packets,
-                r.packets * sampling_rate, r.key.proto == net::IpProto::kTcp, r.bytes);
-}
-
-void VantageStats::add_flow_tx(const flow::FlowRecord& r) {
-  const net::Block24 src_block = net::Block24::containing(r.key.src);
-  if (source_mask_ == nullptr || source_mask_->contains(src_block)) {
-    store_.add_tx(src_block, static_cast<std::uint8_t>(r.key.src.value() & 0xff),
-                  r.packets);
-  }
-}
 
 void VantageStats::add_flows(std::span<const flow::FlowRecord> flows,
                              std::uint32_t sampling_rate, int day) {
   note_day(day);
-  for (const flow::FlowRecord& r : flows) {
-    add_flow_rx(r, sampling_rate);
-    add_flow_tx(r);
-  }
-  if (ibr_.enabled()) {
-    // Per-record analytics tap — the serial twin of add_analytics_batch
-    // (same values per record, commutative sums, so both paths fold to
-    // bit-identical matrices).
-    for (const flow::FlowRecord& r : flows) {
-      ibr_.add_flow(net::Block24::containing(r.key.src).index(),
-                    net::Block24::containing(r.key.dst).index(), r.key.dst_port, day,
-                    r.packets * sampling_rate);
-    }
+  flow::FlowBatch batch;
+  ShardRouter router;
+  for (std::size_t first = 0; first < flows.size(); first += flow::FlowBatch::kDefaultRecords) {
+    batch.decode(flows.subspan(first, std::min(flow::FlowBatch::kDefaultRecords,
+                                               flows.size() - first)),
+                 sampling_rate);
+    router.route(batch, 1);
+    add_batch(batch, router.rx_rows(0), router.tx_rows(0), day);
   }
 }
 

@@ -18,12 +18,10 @@
 // works (§6.1, §7.1): merge the stats, run the same pipeline.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <set>
 #include <span>
-#include <vector>
 
 #include "analytics/ibr_matrix.hpp"
 #include "flow/flow_batch.hpp"
@@ -33,37 +31,6 @@
 #include "trie/block24_set.hpp"
 
 namespace mtscope::pipeline {
-
-/// All measurement state for one /24, as a standalone value.  The live
-/// pipeline keeps this data columnar inside BlockStatsStore; this struct
-/// remains for callers (and tests) that build observations by hand.
-struct BlockObservation {
-  std::vector<IpRxStats> rx_ips;      // kept sorted by host (see rx_ip)
-  std::uint64_t rx_packets = 0;       // sampled
-  std::uint64_t rx_tcp_packets = 0;
-  std::uint64_t rx_tcp_bytes = 0;
-  std::uint64_t rx_est_packets = 0;   // sampled x sampling_rate (volume estimate)
-  std::uint64_t tx_packets = 0;       // sampled
-  std::uint64_t tx_host_bits[4] = {0, 0, 0, 0};  // which host bytes sent
-
-  [[nodiscard]] bool host_sent(std::uint8_t host) const noexcept {
-    return (tx_host_bits[host >> 6] >> (host & 63)) & 1;
-  }
-
-  void mark_host_sent(std::uint8_t host) noexcept {
-    tx_host_bits[host >> 6] |= std::uint64_t{1} << (host & 63);
-  }
-
-  [[nodiscard]] double avg_tcp_size() const noexcept {
-    return rx_tcp_packets == 0 ? 0.0
-                               : static_cast<double>(rx_tcp_bytes) /
-                                     static_cast<double>(rx_tcp_packets);
-  }
-
-  [[nodiscard]] IpRxStats& rx_ip(std::uint8_t host);
-
-  void merge(const BlockObservation& other);
-};
 
 class VantageStats {
  public:
@@ -87,41 +54,43 @@ class VantageStats {
   /// Ingest one dataset: decoded flow records from one vantage point for
   /// one logical day.  `sampling_rate` scales the volume estimates; `day`
   /// feeds the distinct-day count used for per-day volume averaging.
+  /// Runs the collector's batched step on this one store: note_day, then
+  /// per FlowBatch::kDefaultRecords chunk decode, route to one shard and
+  /// add_batch.
   void add_flows(std::span<const flow::FlowRecord> flows, std::uint32_t sampling_rate, int day);
 
   /// Record coverage of a logical day without ingesting records.  The
   /// sharded collector calls this once per dataset so the merged union of
-  /// shards covers exactly the days the serial path would.
+  /// shards covers exactly the days one store would.
   void note_day(int day);
 
-  /// Destination-side accounting for a single record (plus the per-record
-  /// bookkeeping: the ingested-flow counter).  Exposed so the sharded
-  /// collector can route each side of one record to the shard owning its
-  /// block; add_flows() is exactly note_day + add_flow_rx + add_flow_tx.
-  void add_flow_rx(const flow::FlowRecord& record, std::uint32_t sampling_rate);
+  /// Insert one routed batch: add_batch_rx over `rx_rows`, add_batch_tx
+  /// over `tx_rows`, and the analytics tap over `rx_rows` under day bin
+  /// `day`.  The one insert step both add_flows and every shard store of
+  /// the sharded collector run.
+  void add_batch(const flow::FlowBatch& batch, std::span<const std::uint32_t> rx_rows,
+                 std::span<const std::uint32_t> tx_rows, int day) {
+    add_batch_rx(batch, rx_rows);
+    add_batch_tx(batch, tx_rows);
+    add_analytics_batch(batch, rx_rows, day);
+  }
 
-  /// Source-side accounting for a single record (subject to the source
-  /// mask).  Counterpart of add_flow_rx; counts no flow.
-  void add_flow_tx(const flow::FlowRecord& record);
-
-  /// Batched destination-side ingest: add_flow_rx for every batch row in
-  /// `rows`, reading the pre-decoded columns instead of FlowRecords.  The
-  /// sharded collector passes each shard's routed run (see
+  /// Batched destination-side ingest over the batch rows in `rows`,
+  /// reading the pre-decoded columns (and counting one flow per row).
+  /// The sharded collector passes each shard's routed run (see
   /// pipeline/shard_router.hpp) so one call touches one store
-  /// contiguously; `rows` spanning the whole batch reproduces the serial
-  /// per-record order.  Bit-identical to the per-record calls by
-  /// construction — same values, same insertion sequence.
+  /// contiguously.
   void add_batch_rx(const flow::FlowBatch& batch, std::span<const std::uint32_t> rows);
 
-  /// Batched source-side ingest, the add_flow_tx counterpart of
-  /// add_batch_rx (subject to the source mask; counts no flow).
+  /// Batched source-side ingest, the counterpart of add_batch_rx (subject
+  /// to the source mask; counts no flow).
   void add_batch_tx(const flow::FlowBatch& batch, std::span<const std::uint32_t> rows);
 
   /// Batched analytics tap: fold every batch row in `rows` into the IBR
   /// matrix under day bin `day`.  The sharded collector passes each
   /// shard's rx-routed run — the same partition add_batch_rx consumes, so
   /// every record lands in exactly one shard's matrix and the disjoint
-  /// merge reproduces the serial tap bit-identically.  No-op unless the
+  /// merge reproduces a one-store tap bit-identically.  No-op unless the
   /// analytics constructor flag was set.
   void add_analytics_batch(const flow::FlowBatch& batch, std::span<const std::uint32_t> rows,
                            int day) {

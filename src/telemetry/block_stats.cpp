@@ -4,43 +4,6 @@
 
 namespace mtscope::telemetry {
 
-void BlockStatsMap::add_flow(const flow::FlowRecord& record) {
-  ++flows_;
-  packets_ += record.packets;
-
-  BlockCounters& dst = map_[net::Block24::containing(record.key.dst)];
-  dst.rx_packets += record.packets;
-  dst.rx_bytes += record.bytes;
-  switch (record.key.proto) {
-    case net::IpProto::kTcp:
-      dst.rx_tcp_packets += record.packets;
-      dst.rx_tcp_bytes += record.bytes;
-      break;
-    case net::IpProto::kUdp:
-      dst.rx_udp_packets += record.packets;
-      break;
-    default:
-      break;
-  }
-
-  BlockCounters& src = map_[net::Block24::containing(record.key.src)];
-  src.tx_packets += record.packets;
-}
-
-void BlockStatsMap::merge(const BlockStatsMap& other) {
-  for (const auto& [block, counters] : other.map_) {
-    BlockCounters& mine = map_[block];
-    mine.rx_packets += counters.rx_packets;
-    mine.rx_bytes += counters.rx_bytes;
-    mine.rx_tcp_packets += counters.rx_tcp_packets;
-    mine.rx_tcp_bytes += counters.rx_tcp_bytes;
-    mine.rx_udp_packets += counters.rx_udp_packets;
-    mine.tx_packets += counters.tx_packets;
-  }
-  flows_ += other.flows_;
-  packets_ += other.packets_;
-}
-
 void DetailedBlockStats::add_flow(const flow::FlowRecord& record) {
   counters_.rx_packets += record.packets;
   counters_.rx_bytes += record.bytes;

@@ -1,19 +1,15 @@
-// Per-/24 traffic accumulators — the measurement state the inference
-// pipeline reads.
+// Per-/24 traffic accumulators for the labelled ISP dataset that tunes
+// the classifier (Table 3).  The IXP pipeline keeps its per-/24 state in
+// pipeline::BlockStatsStore instead.
 //
-// Two granularities:
-//  * BlockCounters: compact counters kept for every /24 seen at a vantage
-//    point (millions of blocks — must stay small).
-//  * DetailedBlockStats: adds an exact packet-size histogram; used for the
-//    labelled ISP dataset that tunes the classifier (Table 3) where medians
-//    are required.
+//  * BlockCounters: compact inbound/outbound counters for one /24.
+//  * DetailedBlockStats: adds an exact packet-size histogram, because
+//    Table 3 needs medians.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "flow/record.hpp"
-#include "net/ipv4.hpp"
 #include "telemetry/histogram.hpp"
 
 namespace mtscope::telemetry {
@@ -32,39 +28,6 @@ struct BlockCounters {
                ? 0.0
                : static_cast<double>(rx_tcp_bytes) / static_cast<double>(rx_tcp_packets);
   }
-};
-
-/// Accumulates per-/24 counters from flow records.  All counts are in
-/// *sampled* packets; `sampling_rate()` reports the common rate so callers
-/// can scale to volume estimates (the 1.7M pkts/day filter does).
-class BlockStatsMap {
- public:
-  BlockStatsMap() = default;
-
-  /// Account one flow record: destination-side counters for dst's /24,
-  /// source-side counters for src's /24.
-  void add_flow(const flow::FlowRecord& record);
-
-  [[nodiscard]] const BlockCounters* find(net::Block24 block) const {
-    const auto it = map_.find(block);
-    return it == map_.end() ? nullptr : &it->second;
-  }
-
-  [[nodiscard]] const std::unordered_map<net::Block24, BlockCounters>& all() const noexcept {
-    return map_;
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return map_.size(); }
-  [[nodiscard]] std::uint64_t flows_seen() const noexcept { return flows_; }
-  [[nodiscard]] std::uint64_t packets_seen() const noexcept { return packets_; }
-
-  /// Merge counters from another map (multi-day / multi-VP accumulation).
-  void merge(const BlockStatsMap& other);
-
- private:
-  std::unordered_map<net::Block24, BlockCounters> map_;
-  std::uint64_t flows_ = 0;
-  std::uint64_t packets_ = 0;
 };
 
 /// Per-/24 statistics with an exact inbound-TCP packet-size histogram.

@@ -4,9 +4,9 @@
 //    growth, the commutative merge contract, and the batched tap's
 //    bit-identicality to the per-record path;
 //  * the collect differential — the matrix a thread/shard collect grid
-//    produces must equal the serial per-record oracle's, and the sliding
-//    window's incrementally folded matrix must equal a from-scratch batch
-//    build at every advance step;
+//    produces must equal a per-record IbrMatrix::add_flow fold, and so
+//    must the sliding window's incrementally folded matrix at every
+//    advance step;
 //  * the Chocolatine-style outage detector on synthetic series and on a
 //    scripted simulator outage (perfect recall on the labeled event, zero
 //    false positives on the clean baseline, and the suppression touching
@@ -207,16 +207,23 @@ std::vector<flow::FlowRecord> tap_records(std::uint64_t seed, std::size_t count)
   return out;
 }
 
+/// The per-record tap referee: one IbrMatrix::add_flow per record, under
+/// day bin `day`, with the sampling-rate volume estimate.
+void tap_per_record(IbrMatrix& matrix, std::span<const flow::FlowRecord> records,
+                    std::uint32_t sampling_rate, int day) {
+  for (const auto& r : records) {
+    matrix.add_flow(net::Block24::containing(r.key.src).index(),
+                    net::Block24::containing(r.key.dst).index(), r.key.dst_port, day,
+                    r.packets * sampling_rate);
+  }
+}
+
 TEST(AnalyticsMatrix, BatchTapMatchesPerRecordTap) {
   constexpr std::uint32_t kRate = 100;
   const auto records = tap_records(3, 4'000);
 
   IbrMatrix serial(true);
-  for (const auto& r : records) {
-    serial.add_flow(net::Block24::containing(r.key.src).index(),
-                    net::Block24::containing(r.key.dst).index(), r.key.dst_port, /*day=*/2,
-                    r.packets * kRate);
-  }
+  tap_per_record(serial, records, kRate, /*day=*/2);
 
   IbrMatrix batched(true);
   flow::FlowBatch batch;
@@ -258,8 +265,8 @@ TEST(AnalyticsMatrix, MergeCommutesAndFoldsSums) {
 }
 
 // ---------------------------------------------------------------------------
-// Collect differential: the tap across the thread/shard grid vs the serial
-// per-record oracle.
+// Collect differential: the tap across the thread/shard grid vs the
+// per-record tap referee.
 
 struct TapConfig {
   unsigned threads;
@@ -274,15 +281,15 @@ struct TapBaseline {
   sim::Simulation simulation{sim::SimConfig::tiny(101)};
   std::vector<std::size_t> ixps = pipeline::all_ixps(simulation);
   std::vector<int> days{0, 1, 2};
-  pipeline::VantageStats serial = [this] {
-    pipeline::VantageStats stats(simulation.plan().universe_mask(), /*analytics=*/true);
+  IbrMatrix per_record = [this] {
+    IbrMatrix matrix(true);
     for (const int day : days) {
       for (const std::size_t ixp : ixps) {
         const auto data = simulation.run_ixp_day(ixp, day);
-        stats.add_flows(data.flows, simulation.ixps()[ixp].sampling_rate(), day);
+        tap_per_record(matrix, data.flows, simulation.ixps()[ixp].sampling_rate(), day);
       }
     }
-    return stats;
+    return matrix;
   }();
 };
 
@@ -302,7 +309,7 @@ TEST_P(AnalyticsCollectDifferential, TapMatchesSerialAcrossThreadShardGrid) {
   const auto stats =
       pipeline::collect_stats(base.simulation, base.ixps, base.days, options);
   EXPECT_TRUE(stats.ibr().enabled());
-  expect_matrix_equal(stats.ibr(), base.serial.ibr());
+  expect_matrix_equal(stats.ibr(), base.per_record);
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadShardGrid, AnalyticsCollectDifferential,
@@ -322,7 +329,8 @@ TEST(AnalyticsCollectDifferential, DisabledCollectKeepsMatrixEmpty) {
 
 // ---------------------------------------------------------------------------
 // Sliding-window differential: the per-day matrix slices must fold to the
-// batch matrix at every advance step, across eviction.
+// per-record tap over the retained days at every advance step, across
+// eviction.
 
 TEST(AnalyticsWindowDifferential, IncrementalMatrixMatchesBatchAtEveryAdvanceStep) {
   constexpr int kWindow = 3;
@@ -337,15 +345,15 @@ TEST(AnalyticsWindowDifferential, IncrementalMatrixMatchesBatchAtEveryAdvanceSte
     window.note_day(day);
     window.advance_to(day);
 
-    pipeline::VantageStats batch(nullptr, /*analytics=*/true);
+    IbrMatrix expected(true);
     for (int d = std::max(0, day - kWindow + 1); d <= day; ++d) {
       for (int vantage = 0; vantage < 2; ++vantage) {
-        batch.add_flows(tap_records(100 + d * 10 + vantage, 1'500), kRate, d);
+        tap_per_record(expected, tap_records(100 + d * 10 + vantage, 1'500), kRate, d);
       }
     }
     const pipeline::VantageStats merged = window.merged();
     EXPECT_TRUE(merged.ibr().enabled()) << "day " << day;
-    expect_matrix_equal(merged.ibr(), batch.ibr());
+    expect_matrix_equal(merged.ibr(), expected);
   }
 }
 

@@ -16,50 +16,6 @@ flow::FlowRecord record(std::uint32_t src, std::uint32_t dst, net::IpProto proto
   return r;
 }
 
-TEST(BlockStatsMap, AccountsBothDirections) {
-  BlockStatsMap map;
-  // 10.0.0.0/24 -> 10.0.1.0/24, TCP, 3 packets of 40 bytes.
-  map.add_flow(record(0x0a000001, 0x0a000105, net::IpProto::kTcp, 3, 120));
-
-  const BlockCounters* dst = map.find(net::Block24(0x0a0001));
-  ASSERT_NE(dst, nullptr);
-  EXPECT_EQ(dst->rx_packets, 3u);
-  EXPECT_EQ(dst->rx_tcp_packets, 3u);
-  EXPECT_DOUBLE_EQ(dst->avg_tcp_packet_size(), 40.0);
-  EXPECT_EQ(dst->tx_packets, 0u);
-
-  const BlockCounters* src = map.find(net::Block24(0x0a0000));
-  ASSERT_NE(src, nullptr);
-  EXPECT_EQ(src->tx_packets, 3u);
-  EXPECT_EQ(src->rx_packets, 0u);
-
-  EXPECT_EQ(map.flows_seen(), 1u);
-  EXPECT_EQ(map.packets_seen(), 3u);
-}
-
-TEST(BlockStatsMap, UdpCountedSeparately) {
-  BlockStatsMap map;
-  map.add_flow(record(1, 0x0a000105, net::IpProto::kUdp, 2, 400));
-  const BlockCounters* dst = map.find(net::Block24(0x0a0001));
-  ASSERT_NE(dst, nullptr);
-  EXPECT_EQ(dst->rx_udp_packets, 2u);
-  EXPECT_EQ(dst->rx_tcp_packets, 0u);
-  EXPECT_DOUBLE_EQ(dst->avg_tcp_packet_size(), 0.0);
-}
-
-TEST(BlockStatsMap, MergeSums) {
-  BlockStatsMap a;
-  BlockStatsMap b;
-  a.add_flow(record(1, 0x0a000105, net::IpProto::kTcp, 1, 40));
-  b.add_flow(record(1, 0x0a000105, net::IpProto::kTcp, 2, 96));
-  a.merge(b);
-  const BlockCounters* dst = a.find(net::Block24(0x0a0001));
-  ASSERT_NE(dst, nullptr);
-  EXPECT_EQ(dst->rx_tcp_packets, 3u);
-  EXPECT_EQ(dst->rx_tcp_bytes, 136u);
-  EXPECT_EQ(a.flows_seen(), 2u);
-}
-
 TEST(DetailedBlockStats, HistogramTracksMedianAndMean) {
   DetailedBlockStats stats;
   stats.add_flow(record(1, 2, net::IpProto::kTcp, 93, 93 * 40));

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -18,6 +19,17 @@ namespace mtscope::pipeline {
 namespace {
 
 net::Block24 block(std::uint32_t index) { return net::Block24(index); }
+
+/// One flow's destination-side update through the production insert: a
+/// one-row add_rx_rows run.
+void add_rx(BlockStatsStore& store, net::Block24 b, std::uint8_t host, std::uint64_t packets,
+            std::uint64_t est_packets, bool tcp, std::uint64_t tcp_bytes) {
+  const std::uint32_t row = 0;
+  const std::uint32_t key = b.index();
+  const std::uint8_t is_tcp = tcp ? 1 : 0;
+  store.add_rx_rows({&row, 1}, {&key, 1}, {&host, 1}, {&packets, 1}, {&est_packets, 1},
+                    {&is_tcp, 1}, {&tcp_bytes, 1});
+}
 
 TEST(BlockStatsStore, EmptyStore) {
   const BlockStatsStore store;
@@ -31,9 +43,9 @@ TEST(BlockStatsStore, EmptyStore) {
 
 TEST(BlockStatsStore, AddRxAccumulatesColumns) {
   BlockStatsStore store;
-  store.add_rx(block(7), 5, 2, 200, true, 80);
-  store.add_rx(block(7), 5, 1, 100, true, 48);
-  store.add_rx(block(7), 9, 3, 300, false, 0);
+  add_rx(store, block(7), 5, 2, 200, true, 80);
+  add_rx(store, block(7), 5, 1, 100, true, 48);
+  add_rx(store, block(7), 9, 3, 300, false, 0);
 
   EXPECT_EQ(store.size(), 1u);
   const BlockStatsStore::ConstRow row = store.find(block(7));
@@ -74,7 +86,7 @@ TEST(BlockStatsStore, AddTxSetsBitmap) {
 TEST(BlockStatsStore, IterationIsInsertionOrder) {
   BlockStatsStore store;
   const std::uint32_t keys[] = {900, 1, 44, 0xffffff, 17};
-  for (const std::uint32_t k : keys) store.add_rx(block(k), 0, 1, 1, false, 0);
+  for (const std::uint32_t k : keys) add_rx(store, block(k), 0, 1, 1, false, 0);
 
   std::vector<std::uint32_t> seen;
   for (const BlockStatsStore::ConstRow row : store) seen.push_back(row.block().index());
@@ -89,7 +101,7 @@ TEST(BlockStatsStore, GrowthRehashKeepsEveryKeyFindable) {
   BlockStatsStore store;
   constexpr std::uint32_t kBlocks = 10'000;  // many doublings past the initial 16
   for (std::uint32_t k = 0; k < kBlocks; ++k) {
-    store.add_rx(block(k * 37 % (1u << 24)), static_cast<std::uint8_t>(k), 1, 10, true, 40);
+    add_rx(store, block(k * 37 % (1u << 24)), static_cast<std::uint8_t>(k), 1, 10, true, 40);
   }
   EXPECT_EQ(store.size(), kBlocks);
   EXPECT_LE(store.load_factor(), 7.0 / 8.0);
@@ -105,11 +117,11 @@ TEST(BlockStatsStore, InlineRunSpillsToArenaAndStaysSorted) {
   EXPECT_EQ(store.arena_spills(), 0u);
 
   // kInlineIps hosts stay inline…
-  store.add_rx(block(1), 10, 1, 1, false, 0);
-  store.add_rx(block(1), 5, 1, 1, false, 0);
+  add_rx(store, block(1), 10, 1, 1, false, 0);
+  add_rx(store, block(1), 5, 1, 1, false, 0);
   EXPECT_EQ(store.arena_spills(), 0u);
   // …the third spills to the arena.
-  store.add_rx(block(1), 7, 1, 1, false, 0);
+  add_rx(store, block(1), 7, 1, 1, false, 0);
   EXPECT_EQ(store.arena_spills(), 1u);
   EXPECT_GE(store.arena_allocated_ips(), 3u);
 
@@ -125,7 +137,7 @@ TEST(BlockStatsStore, RunGrowsToAllHostsOfTheBlock) {
   // the abandoned capacities are accounted as waste.
   BlockStatsStore store;
   for (int host = 255; host >= 0; --host) {
-    store.add_rx(block(2), static_cast<std::uint8_t>(host), 1, 1, true, 40);
+    add_rx(store, block(2), static_cast<std::uint8_t>(host), 1, 1, true, 40);
   }
   const BlockStatsStore::ConstRow row = store.find(block(2));
   ASSERT_EQ(row.ips().size(), 256u);
@@ -139,9 +151,9 @@ TEST(BlockStatsStore, RunGrowsToAllHostsOfTheBlock) {
 
 TEST(BlockStatsStore, MergeDisjointAppends) {
   BlockStatsStore a;
-  a.add_rx(block(1), 1, 1, 10, true, 40);
+  add_rx(a, block(1), 1, 1, 10, true, 40);
   BlockStatsStore b;
-  b.add_rx(block(2), 2, 2, 20, false, 0);
+  add_rx(b, block(2), 2, 2, 20, false, 0);
   b.add_tx(block(3), 9, 5);
   a.merge(b);
 
@@ -153,12 +165,12 @@ TEST(BlockStatsStore, MergeDisjointAppends) {
 
 TEST(BlockStatsStore, MergeSharedRowsAddsCountersAndUnionsRuns) {
   BlockStatsStore a;
-  a.add_rx(block(1), 1, 1, 10, true, 40);
-  a.add_rx(block(1), 200, 2, 20, false, 0);
+  add_rx(a, block(1), 1, 1, 10, true, 40);
+  add_rx(a, block(1), 200, 2, 20, false, 0);
   a.add_tx(block(1), 4, 3);
   BlockStatsStore b;
-  b.add_rx(block(1), 1, 5, 50, true, 200);
-  b.add_rx(block(1), 7, 1, 10, false, 0);
+  add_rx(b, block(1), 1, 5, 50, true, 200);
+  add_rx(b, block(1), 7, 1, 10, false, 0);
   b.add_tx(block(1), 100, 2);
   a.merge(b);
 
@@ -182,10 +194,10 @@ TEST(BlockStatsStore, MergeSpilledIntoSpilledRun) {
   BlockStatsStore a;
   BlockStatsStore b;
   for (int host = 0; host < 40; host += 2) {   // evens in a
-    a.add_rx(block(9), static_cast<std::uint8_t>(host), 1, 1, false, 0);
+    add_rx(a, block(9), static_cast<std::uint8_t>(host), 1, 1, false, 0);
   }
   for (int host = 1; host < 40; host += 2) {   // odds in b
-    b.add_rx(block(9), static_cast<std::uint8_t>(host), 1, 1, false, 0);
+    add_rx(b, block(9), static_cast<std::uint8_t>(host), 1, 1, false, 0);
   }
   a.merge(b);
   const BlockStatsStore::ConstRow row = a.find(block(9));
@@ -198,15 +210,15 @@ TEST(BlockStatsStore, MergeSpilledIntoSpilledRun) {
 TEST(BlockStatsStore, CopyIsDeep) {
   BlockStatsStore original;
   for (int host = 0; host < 10; ++host) {  // spilled run in the arena
-    original.add_rx(block(5), static_cast<std::uint8_t>(host), 1, 1, true, 40);
+    add_rx(original, block(5), static_cast<std::uint8_t>(host), 1, 1, true, 40);
   }
   BlockStatsStore copy = original;
   // Mutating the copy (including regrowing its run) must not disturb the
   // original, and vice versa — the spill pointers live in separate arenas.
   for (int host = 10; host < 60; ++host) {
-    copy.add_rx(block(5), static_cast<std::uint8_t>(host), 7, 7, false, 0);
+    add_rx(copy, block(5), static_cast<std::uint8_t>(host), 7, 7, false, 0);
   }
-  original.add_rx(block(5), 0, 100, 100, false, 0);
+  add_rx(original, block(5), 0, 100, 100, false, 0);
 
   EXPECT_EQ(copy.find(block(5)).ips().size(), 60u);
   EXPECT_EQ(copy.find(block(5)).ips()[0].packets, 1u);
@@ -214,7 +226,7 @@ TEST(BlockStatsStore, CopyIsDeep) {
   EXPECT_EQ(original.find(block(5)).ips()[0].packets, 101u);
 
   BlockStatsStore assigned;
-  assigned.add_rx(block(1), 1, 1, 1, false, 0);
+  add_rx(assigned, block(1), 1, 1, 1, false, 0);
   assigned = original;
   EXPECT_FALSE(assigned.find(block(1)));
   EXPECT_EQ(assigned.find(block(5)).ips().size(), 10u);
@@ -223,7 +235,7 @@ TEST(BlockStatsStore, CopyIsDeep) {
 TEST(BlockStatsStore, MoveLeavesSpillPointersValid) {
   BlockStatsStore source;
   for (int host = 0; host < 20; ++host) {
-    source.add_rx(block(4), static_cast<std::uint8_t>(host), 1, 1, false, 0);
+    add_rx(source, block(4), static_cast<std::uint8_t>(host), 1, 1, false, 0);
   }
   const BlockStatsStore moved = std::move(source);
   const BlockStatsStore::ConstRow row = moved.find(block(4));
@@ -234,7 +246,7 @@ TEST(BlockStatsStore, MoveLeavesSpillPointersValid) {
 // ---------------------------------------------------------------------------
 // Differential + property tests against a map-backed reference model: the
 // store must behave exactly like the obvious std::map implementation under
-// random interleavings of add_rx / add_tx / merge.
+// random add_rx_rows runs, add_tx calls and merges.
 
 struct RefBlock {
   std::uint64_t rx_packets = 0;
@@ -341,13 +353,50 @@ std::vector<Op> random_ops(std::uint64_t seed, std::size_t count) {
   return out;
 }
 
-void apply(const Op& op, BlockStatsStore& store, RefStore& ref) {
-  if (op.rx) {
-    store.add_rx(block(op.key), op.host, op.packets, op.packets * 100, op.tcp, op.bytes);
-    ref.add_rx(block(op.key), op.host, op.packets, op.packets * 100, op.tcp, op.bytes);
-  } else {
-    store.add_tx(block(op.key), op.host, op.packets);
-    ref.add_tx(block(op.key), op.host, op.packets);
+/// Apply `ops` to `store` the way batched ingest does and to `ref` one op
+/// at a time.  The ops become FlowBatch-style columns and are cut into
+/// runs of random length (1..300); each run's rx ops go in as one
+/// add_rx_rows call whose row indices point into the whole column set, so
+/// a run repeats keys and hosts, and its tx ops go through add_tx.
+void apply(const std::vector<Op>& ops, std::uint64_t seed, BlockStatsStore& store,
+           RefStore& ref) {
+  std::vector<std::uint32_t> keys;
+  std::vector<std::uint8_t> hosts;
+  std::vector<std::uint64_t> packets;
+  std::vector<std::uint64_t> est_packets;
+  std::vector<std::uint8_t> tcp;
+  std::vector<std::uint64_t> bytes;
+  for (const Op& op : ops) {
+    keys.push_back(op.key);
+    hosts.push_back(op.host);
+    packets.push_back(op.packets);
+    est_packets.push_back(op.packets * 100);
+    tcp.push_back(op.tcp ? 1 : 0);
+    bytes.push_back(op.bytes);
+  }
+
+  util::Rng rng(seed);
+  std::vector<std::uint32_t> rows;
+  for (std::size_t first = 0; first < ops.size();) {
+    const std::size_t end = std::min<std::size_t>(ops.size(), first + 1 + rng.uniform(300));
+    rows.clear();
+    for (std::size_t i = first; i < end; ++i) {
+      if (ops[i].rx) {
+        rows.push_back(static_cast<std::uint32_t>(i));
+      } else {
+        store.add_tx(block(ops[i].key), ops[i].host, ops[i].packets);
+      }
+    }
+    store.add_rx_rows(rows, keys, hosts, packets, est_packets, tcp, bytes);
+    first = end;
+  }
+
+  for (const Op& op : ops) {
+    if (op.rx) {
+      ref.add_rx(block(op.key), op.host, op.packets, op.packets * 100, op.tcp, op.bytes);
+    } else {
+      ref.add_tx(block(op.key), op.host, op.packets);
+    }
   }
 }
 
@@ -356,15 +405,15 @@ class StoreDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(StoreDifferential, RandomOpsMatchMapReference) {
   BlockStatsStore store;
   RefStore ref;
-  for (const Op& op : random_ops(GetParam(), 5000)) apply(op, store, ref);
+  apply(random_ops(GetParam(), 5000), GetParam(), store, ref);
   expect_matches_reference(store, ref);
 }
 
 TEST_P(StoreDifferential, MergeMatchesMapReference) {
   BlockStatsStore sa, sb;
   RefStore ra, rb;
-  for (const Op& op : random_ops(GetParam(), 3000)) apply(op, sa, ra);
-  for (const Op& op : random_ops(GetParam() ^ 0xbeef, 3000)) apply(op, sb, rb);
+  apply(random_ops(GetParam(), 3000), GetParam(), sa, ra);
+  apply(random_ops(GetParam() ^ 0xbeef, 3000), GetParam() + 1, sb, rb);
   sa.merge(sb);
   ra.merge(rb);
   expect_matches_reference(sa, ra);
@@ -374,10 +423,10 @@ TEST_P(StoreDifferential, MergeIsCommutative) {
   BlockStatsStore a1, b1, a2, b2;
   {
     RefStore r;
-    for (const Op& op : random_ops(GetParam(), 2000)) apply(op, a1, r);
-    for (const Op& op : random_ops(GetParam(), 2000)) apply(op, a2, r);
-    for (const Op& op : random_ops(GetParam() ^ 0x5a5a, 2000)) apply(op, b1, r);
-    for (const Op& op : random_ops(GetParam() ^ 0x5a5a, 2000)) apply(op, b2, r);
+    apply(random_ops(GetParam(), 2000), GetParam(), a1, r);
+    apply(random_ops(GetParam(), 2000), GetParam() + 1, a2, r);
+    apply(random_ops(GetParam() ^ 0x5a5a, 2000), GetParam() + 2, b1, r);
+    apply(random_ops(GetParam() ^ 0x5a5a, 2000), GetParam() + 3, b2, r);
   }
 
   a1.merge(b1);  // A + B
@@ -409,10 +458,8 @@ TEST_P(StoreDifferential, MergeIsAssociativeAndMatchesSingleStore) {
   RefStore ref;
   for (std::size_t i = 0; i < 3; ++i) {
     RefStore scratch;
-    for (const Op& op : parts[i]) {
-      apply(op, shard[i], scratch);
-      apply(op, whole, ref);
-    }
+    apply(parts[i], GetParam() + i, shard[i], scratch);
+    apply(parts[i], GetParam() ^ i, whole, ref);
   }
 
   BlockStatsStore left = shard[0];  // (A + B) + C

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace mtscope::geo {
 namespace {
@@ -49,6 +50,13 @@ struct ContinentCase {
   const char* country;
   Continent continent;
 };
+
+// Names each case after its input, so test names are the same in every
+// build.
+void PrintTo(const ContinentCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.country)) << " in "
+      << continent_code(c.continent);
+}
 
 class CountryContinent : public ::testing::TestWithParam<ContinentCase> {};
 

@@ -133,6 +133,12 @@ struct SynthCase {
   std::uint16_t requested_length;
 };
 
+// Names each case after its fields (not its bytes, which include padding),
+// so test names are the same in every build.
+void PrintTo(const SynthCase& c, std::ostream* os) {
+  *os << "proto " << static_cast<int>(c.proto) << " length " << c.requested_length;
+}
+
 class SynthesizePacket : public ::testing::TestWithParam<SynthCase> {};
 
 TEST_P(SynthesizePacket, ParsesBackAndHonoursLength) {

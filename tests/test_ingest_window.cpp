@@ -2,9 +2,10 @@
 //
 //  * the differential grid — seeds x funnel threads x window lengths x
 //    eviction schedules — drives a SlidingWindow day by day and, at every
-//    advance step, demands the incremental window's stats, InferenceResult
-//    AND serialized snapshot be byte-identical to a from-scratch batch run
-//    over the same retained days;
+//    advance step, demands the incremental window's stats equal the
+//    per-record referee (tests/reference_ingest.hpp) over the retained
+//    days, and its InferenceResult AND serialized snapshot be
+//    byte-identical to a from-scratch batch run over the same days;
 //  * the daemon differential — every epoch `mtscope ingest` publishes from
 //    a simulated flow stream must be byte-identical to the batch
 //    collect_stats + infer + build_snapshot pipeline over that epoch's
@@ -47,6 +48,7 @@
 #include "pipeline/inference.hpp"
 #include "pipeline/parallel.hpp"
 #include "pipeline/spoof_tolerance.hpp"
+#include "reference_ingest.hpp"
 #include "serve/server.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/telescope_index.hpp"
@@ -113,23 +115,6 @@ std::vector<std::uint8_t> grid_snapshot_bytes(const pipeline::InferenceResult& r
   return serve::serialize_snapshot(serve::build_snapshot(result, grid_rib(), meta));
 }
 
-/// Full structural equality (same checks as the pipeline property suite).
-void expect_stats_equal(const pipeline::VantageStats& x, const pipeline::VantageStats& y) {
-  EXPECT_EQ(x.day_count(), y.day_count());
-  EXPECT_EQ(x.flows_ingested(), y.flows_ingested());
-  ASSERT_EQ(x.blocks().size(), y.blocks().size());
-  for (const pipeline::BlockStatsStore::ConstRow xo : x.blocks()) {
-    const net::Block24 block = xo.block();
-    const pipeline::BlockStatsStore::ConstRow yo = y.find(block);
-    ASSERT_TRUE(yo) << block.to_string();
-    EXPECT_EQ(xo.rx_packets(), yo.rx_packets()) << block.to_string();
-    EXPECT_EQ(xo.rx_tcp_packets(), yo.rx_tcp_packets()) << block.to_string();
-    EXPECT_EQ(xo.rx_tcp_bytes(), yo.rx_tcp_bytes()) << block.to_string();
-    EXPECT_EQ(xo.rx_est_packets(), yo.rx_est_packets()) << block.to_string();
-    EXPECT_EQ(xo.tx_packets(), yo.tx_packets()) << block.to_string();
-  }
-}
-
 void expect_results_equal(const pipeline::InferenceResult& x,
                           const pipeline::InferenceResult& y) {
   EXPECT_EQ(x.funnel, y.funnel);
@@ -193,19 +178,25 @@ TEST_P(IngestDifferential, IncrementalWindowMatchesBatchAtEveryAdvanceStep) {
     for (int d = std::max(0, day - window_days + 1); d <= day; ++d) retained.push_back(d);
     ASSERT_EQ(window.days(), retained);
 
-    // The from-scratch batch baseline over exactly the retained days.
+    // The from-scratch batch baseline over exactly the retained days, and
+    // the per-record referee over the same datasets.
     pipeline::VantageStats batch;
+    referee::ReferenceStats expected;
     for (const int d : retained) {
       if (d != kEmptyDay) {
         for (int v = 0; v < kVantages; ++v) {
-          batch.add_flows(dataset_flows(seed, d, v), kSampling, d);
+          const auto flows = dataset_flows(seed, d, v);
+          batch.add_flows(flows, kSampling, d);
+          expected.add_flows(flows, kSampling, d);
         }
       }
       batch.note_day(d);
+      expected.days.insert(d);
     }
 
     const pipeline::VantageStats merged = window.merged();
-    expect_stats_equal(merged, batch);
+    referee::expect_matches_reference(merged, expected);
+    referee::expect_matches_reference(batch, expected);
 
     const auto batch_result = grid_infer(batch, 1);
     const auto batch_bytes =

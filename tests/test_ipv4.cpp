@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace mtscope::net {
 namespace {
 
@@ -20,6 +22,12 @@ struct ParseCase {
   bool valid;
   std::uint32_t value;
 };
+
+// Names each case after its input (escaped and quoted), so test names are
+// the same in every build.
+void PrintTo(const ParseCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.text)) << (c.valid ? " valid" : " invalid");
+}
 
 class Ipv4Parse : public ::testing::TestWithParam<ParseCase> {};
 

@@ -391,8 +391,10 @@ TEST(InferMetrics, ParallelCountersEqualSerialAcrossGrid) {
 TEST(CollectMetrics, TotalsInvariantAcrossPartitions) {
   const PipelineFixture& fx = fixture();
   MetricsRegistry serial;
+  pipeline::CollectOptions serial_options;
+  serial_options.metrics = &serial;
   const auto serial_stats =
-      pipeline::collect_stats(fx.simulation, fx.ixps, fx.days, &serial);
+      pipeline::collect_stats(fx.simulation, fx.ixps, fx.days, serial_options);
   EXPECT_EQ(serial.counter_value("collect.flows"), serial_stats.flows_ingested());
   EXPECT_EQ(serial.counter_value("collect.datasets"), fx.ixps.size() * fx.days.size());
 

@@ -1,8 +1,10 @@
-// Differential suite: the sharded parallel collect/infer engine must be
-// bit-identical to the serial path — same funnel counts, same
-// dark/unclean/gray totals, and the exact same Block24Set membership — for
-// every thread/shard configuration.  Under MTSCOPE_SANITIZE=thread this
-// binary doubles as the ThreadSanitizer smoke test of the collector.
+// Differential suite: the sharded parallel collect/infer engine must
+// reproduce the per-record referee (tests/reference_ingest.hpp) store for
+// store, and the funnel over the default collect — same funnel counts,
+// same dark/unclean/gray totals, and the exact same Block24Set membership
+// — for every thread/shard/batch configuration.  Under
+// MTSCOPE_SANITIZE=thread this binary doubles as the ThreadSanitizer smoke
+// test of the collector.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -16,6 +18,7 @@
 #include "pipeline/parallel.hpp"
 #include "pipeline/shard_router.hpp"
 #include "pipeline/spoof_tolerance.hpp"
+#include "reference_ingest.hpp"
 #include "sim/simulation.hpp"
 #include "telemetry/ecdf.hpp"
 #include "util/rng.hpp"
@@ -33,12 +36,16 @@ void PrintTo(const ParallelConfig& config, std::ostream* os) {
   *os << config.threads << " thread(s) x " << config.shards << " shard(s)";
 }
 
-// The shared workload: a multi-IXP, multi-day tiny universe, collected and
-// inferred once on the serial path.
-struct SerialBaseline {
+// The shared workload: a multi-IXP, multi-day tiny universe, folded once by
+// the per-record referee, then collected with the default options (one
+// batched worker, one shard) and inferred once.  The default collect is
+// checked against the referee; every other configuration must reproduce
+// the referee and the default collect's funnel result.
+struct Baseline {
   sim::Simulation simulation{sim::SimConfig::tiny(101)};
   std::vector<std::size_t> ixps = pipeline::all_ixps(simulation);
   std::vector<int> days{0, 1, 2};
+  referee::ReferenceStats reference = referee::reference_collect(simulation, ixps, days);
   pipeline::VantageStats stats = pipeline::collect_stats(simulation, ixps, days);
   routing::SpecialPurposeRegistry registry = routing::SpecialPurposeRegistry::standard();
   pipeline::PipelineConfig config = [this] {
@@ -52,8 +59,8 @@ struct SerialBaseline {
   pipeline::InferenceResult result = engine.infer(stats);
 };
 
-const SerialBaseline& baseline() {
-  static const SerialBaseline shared;
+const Baseline& baseline() {
+  static const Baseline shared;
   return shared;
 }
 
@@ -65,11 +72,11 @@ void expect_identical(const pipeline::InferenceResult& actual,
   EXPECT_TRUE(actual.dark == expected.dark);  // full bitmap comparison
 }
 
-/// Deep, order-insensitive store equality: every block row of `expected`
-/// exists in `actual` with identical counters, tx host bitmap and per-IP
-/// run.  Row *order* is the one thing the partitioning may legally change
-/// (rows append in shard-fold order, not dataset order); everything the
-/// rows contain may not.
+/// Deep, order-insensitive equality of two stores built by the engine:
+/// every block row of `expected` exists in `actual` with identical
+/// counters, tx host bitmap and per-IP run.  Row *order* is the one thing
+/// the partitioning may legally change (rows append in shard-fold order,
+/// not dataset order); everything the rows contain may not.
 void expect_stats_identical(const pipeline::VantageStats& actual,
                             const pipeline::VantageStats& expected) {
   EXPECT_EQ(actual.flows_ingested(), expected.flows_ingested());
@@ -96,35 +103,36 @@ void expect_stats_identical(const pipeline::VantageStats& actual,
   }
 }
 
+TEST(ParallelBaseline, DefaultCollectMatchesPerRecordReferee) {
+  referee::expect_matches_reference(baseline().stats, baseline().reference);
+}
+
 class ParallelDifferential : public ::testing::TestWithParam<ParallelConfig> {};
 
 TEST_P(ParallelDifferential, CollectMatchesSerialStats) {
-  const SerialBaseline& serial = baseline();
+  const Baseline& base = baseline();
   const pipeline::CollectOptions options{GetParam().threads, GetParam().shards};
   const auto stats =
-      pipeline::collect_stats(serial.simulation, serial.ixps, serial.days, options);
-
-  EXPECT_EQ(stats.flows_ingested(), serial.stats.flows_ingested());
-  EXPECT_EQ(stats.day_count(), serial.stats.day_count());
-  EXPECT_EQ(stats.blocks().size(), serial.stats.blocks().size());
+      pipeline::collect_stats(base.simulation, base.ixps, base.days, options);
+  referee::expect_matches_reference(stats, base.reference);
 }
 
 TEST_P(ParallelDifferential, CollectInferMatchesSerialResult) {
-  const SerialBaseline& serial = baseline();
+  const Baseline& base = baseline();
   const pipeline::CollectOptions options{GetParam().threads, GetParam().shards};
   const auto stats =
-      pipeline::collect_stats(serial.simulation, serial.ixps, serial.days, options);
-  const auto result = pipeline::parallel_infer(serial.engine, stats, GetParam().threads);
-  expect_identical(result, serial.result);
+      pipeline::collect_stats(base.simulation, base.ixps, base.days, options);
+  const auto result = pipeline::parallel_infer(base.engine, stats, GetParam().threads);
+  expect_identical(result, base.result);
 }
 
 TEST_P(ParallelDifferential, ParallelInferOverSerialStats) {
   // Decouples the two halves: the range-partitioned funnel alone must
-  // reproduce the serial result on the serially collected stats.
-  const SerialBaseline& serial = baseline();
+  // reproduce the one-thread result on the default-collected stats.
+  const Baseline& base = baseline();
   const auto result =
-      pipeline::parallel_infer(serial.engine, serial.stats, GetParam().threads);
-  expect_identical(result, serial.result);
+      pipeline::parallel_infer(base.engine, base.stats, GetParam().threads);
+  expect_identical(result, base.result);
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadShardGrid, ParallelDifferential,
@@ -165,14 +173,14 @@ std::vector<BatchedConfig> batched_grid() {
 class BatchedDifferential : public ::testing::TestWithParam<BatchedConfig> {};
 
 TEST_P(BatchedDifferential, CollectStoreAndInferMatchSerial) {
-  const SerialBaseline& serial = baseline();
+  const Baseline& base = baseline();
   const pipeline::CollectOptions options{GetParam().threads, GetParam().shards, nullptr,
                                          GetParam().batch};
   const auto stats =
-      pipeline::collect_stats(serial.simulation, serial.ixps, serial.days, options);
-  expect_stats_identical(stats, serial.stats);
-  expect_identical(pipeline::parallel_infer(serial.engine, stats, GetParam().threads),
-                   serial.result);
+      pipeline::collect_stats(base.simulation, base.ixps, base.days, options);
+  referee::expect_matches_reference(stats, base.reference);
+  expect_identical(pipeline::parallel_infer(base.engine, stats, GetParam().threads),
+                   base.result);
 }
 
 INSTANTIATE_TEST_SUITE_P(BatchThreadShardGrid, BatchedDifferential,
@@ -208,7 +216,7 @@ TEST(MergeDisjointness, ShardedBuildFoldsToDirectBuild) {
   constexpr std::uint32_t kRate = 100;
   const auto records = merge_test_records(20'000, 71);
 
-  pipeline::VantageStats direct;
+  referee::ReferenceStats direct;
   direct.add_flows(records, kRate, /*day=*/0);
 
   // The collector's exact mechanism: batch -> route -> shard-affine adds.
@@ -221,8 +229,7 @@ TEST(MergeDisjointness, ShardedBuildFoldsToDirectBuild) {
     batch.decode(all.subspan(first, std::min<std::size_t>(512, all.size() - first)), kRate);
     router.route(batch, kShards);
     for (unsigned s = 0; s < kShards; ++s) {
-      parts[s].add_batch_rx(batch, router.rx_rows(s));
-      parts[s].add_batch_tx(batch, router.tx_rows(s));
+      parts[s].add_batch(batch, router.rx_rows(s), router.tx_rows(s), 0);
     }
   }
 
@@ -235,13 +242,13 @@ TEST(MergeDisjointness, ShardedBuildFoldsToDirectBuild) {
     }
     total_rows += parts[s].blocks().size();
   }
-  EXPECT_EQ(total_rows, direct.blocks().size());
+  EXPECT_EQ(total_rows, direct.blocks.size());
 
   std::vector<const pipeline::VantageStats*> rest;
   for (unsigned s = 1; s < kShards; ++s) rest.push_back(&parts[s]);
   const pipeline::VantageStats merged =
       pipeline::merge_stats(std::move(parts[0]), rest, total_rows);
-  expect_stats_identical(merged, direct);
+  referee::expect_matches_reference(merged, direct);
 }
 
 TEST(MergeDisjointness, FoldShapeDoesNotChangeResult) {
@@ -280,17 +287,17 @@ TEST(MergeDisjointness, ExactReserveDoesNotChangeResult) {
 }
 
 TEST(ParallelEdgeCases, NoDatasets) {
-  const SerialBaseline& serial = baseline();
+  const Baseline& base = baseline();
   const std::vector<std::size_t> no_ixps;
   const std::vector<int> no_days;
   const pipeline::CollectOptions options{4, 8};
   const auto stats =
-      pipeline::collect_stats(serial.simulation, no_ixps, no_days, options);
+      pipeline::collect_stats(base.simulation, no_ixps, no_days, options);
   EXPECT_EQ(stats.flows_ingested(), 0u);
   EXPECT_EQ(stats.day_count(), 0);
   EXPECT_TRUE(stats.blocks().empty());
 
-  const auto result = pipeline::parallel_infer(serial.engine, stats, 4);
+  const auto result = pipeline::parallel_infer(base.engine, stats, 4);
   EXPECT_EQ(result.funnel.seen, 0u);
   EXPECT_EQ(result.dark.size(), 0u);
 }
@@ -298,17 +305,17 @@ TEST(ParallelEdgeCases, NoDatasets) {
 TEST(ParallelEdgeCases, MoreThreadsThanWork) {
   // 16 threads for 2 datasets / tiny block counts must neither deadlock
   // nor change the result.
-  const SerialBaseline& serial = baseline();
+  const Baseline& base = baseline();
   const std::vector<int> one_day{0};
-  const auto serial_stats =
-      pipeline::collect_stats(serial.simulation, serial.ixps, one_day);
+  const auto one_worker =
+      pipeline::collect_stats(base.simulation, base.ixps, one_day);
   const pipeline::CollectOptions options{16, 3};
   const auto stats =
-      pipeline::collect_stats(serial.simulation, serial.ixps, one_day, options);
-  EXPECT_EQ(stats.flows_ingested(), serial_stats.flows_ingested());
-  EXPECT_EQ(stats.blocks().size(), serial_stats.blocks().size());
-  expect_identical(pipeline::parallel_infer(serial.engine, stats, 16),
-                   serial.engine.infer(serial_stats));
+      pipeline::collect_stats(base.simulation, base.ixps, one_day, options);
+  EXPECT_EQ(stats.flows_ingested(), one_worker.flows_ingested());
+  EXPECT_EQ(stats.blocks().size(), one_worker.blocks().size());
+  expect_identical(pipeline::parallel_infer(base.engine, stats, 16),
+                   base.engine.infer(one_worker));
 }
 
 TEST(ConcurrentEcdfReads, ConstAccessorsAreThreadSafe) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace mtscope::net {
 namespace {
 
@@ -38,6 +40,12 @@ struct PrefixParseCase {
   const char* text;
   bool valid;
 };
+
+// Names each case after its input, so test names are the same in every
+// build.
+void PrintTo(const PrefixParseCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.text)) << (c.valid ? " valid" : " invalid");
+}
 
 class PrefixParse : public ::testing::TestWithParam<PrefixParseCase> {};
 

@@ -30,6 +30,7 @@
 #include "pipeline/inference.hpp"
 #include "pipeline/parallel.hpp"
 #include "pipeline/spoof_tolerance.hpp"
+#include "reference_ingest.hpp"
 #include "serve/telescope_index.hpp"
 #include "sim/simulation.hpp"
 #include "util/bytes.hpp"
@@ -152,6 +153,14 @@ TEST_P(SnapshotRoundTrip, ProducerConfigurationDoesNotChangeTheBytes) {
           << threads << " thread(s) x " << shards << " shard(s)";
     }
   }
+}
+
+TEST_P(SnapshotRoundTrip, BaselineStatsMatchPerRecordReferee) {
+  // Every snapshot above is built from the default collect; pin that
+  // collect to the per-record referee so the bytes rest on a checked store.
+  const SeedBaseline& base = baseline_for(GetParam());
+  referee::expect_matches_reference(
+      base.stats, referee::reference_collect(base.simulation, base.ixps, base.days));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotRoundTrip, ::testing::Values(42u, 7u, 1337u));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace mtscope::routing {
 namespace {
 
@@ -12,6 +14,13 @@ struct ReservedCase {
   const char* address;
   bool reserved;
 };
+
+// Names each case after its input, so test names are the same in every
+// build.
+void PrintTo(const ReservedCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.address))
+      << (c.reserved ? " reserved" : " not reserved");
+}
 
 class StandardRegistry : public ::testing::TestWithParam<ReservedCase> {};
 

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <span>
+#include <vector>
+
+#include "reference_ingest.hpp"
+#include "util/rng.hpp"
 
 namespace mtscope::pipeline {
 namespace {
+
+using referee::BlockObservation;
 
 flow::FlowRecord record(std::uint32_t src, std::uint32_t dst, net::IpProto proto,
                         std::uint64_t packets, std::uint64_t bytes) {
@@ -108,33 +116,29 @@ TEST(VantageStats, NoteDayMatchesAddFlowsDayAccounting) {
   EXPECT_EQ(via_note.day_count(), via_add.day_count());
 }
 
-TEST(VantageStats, SplitIngestionMatchesAddFlows) {
-  // note_day + add_flow_rx + add_flow_tx (the sharded collector's path)
-  // must be exactly add_flows.
-  const std::vector<flow::FlowRecord> flows = {
-      record(0x01010101, 0x0a000105, net::IpProto::kTcp, 2, 80),
-      record(0x0a000107, 0x02020202, net::IpProto::kUdp, 3, 300),
-  };
-  VantageStats whole;
-  whole.add_flows(flows, 50, 4);
-
-  VantageStats split;
-  split.note_day(4);
-  for (const flow::FlowRecord& r : flows) {
-    split.add_flow_rx(r, 50);
-    split.add_flow_tx(r);
+TEST(VantageStats, AddFlowsMatchesPerRecordReferee) {
+  // Several FlowBatch chunks (the last one partial), repeated blocks and
+  // hosts, and a source mask that keeps half the senders: the batched
+  // add_flows must equal the per-record referee field for field.
+  util::Rng rng(17);
+  std::vector<flow::FlowRecord> flows;
+  for (std::size_t i = 0; i < 2 * flow::FlowBatch::kDefaultRecords + 123; ++i) {
+    flows.push_back(record(0x0a000000u + static_cast<std::uint32_t>(rng.uniform(1u << 12)),
+                           0x14000000u + static_cast<std::uint32_t>(rng.uniform(1u << 12)),
+                           rng.chance(0.7) ? net::IpProto::kTcp : net::IpProto::kUdp,
+                           1 + rng.uniform(4), 40 + rng.uniform(1400)));
   }
+  auto mask = std::make_shared<trie::Block24Set>();
+  for (std::uint32_t b = 0; b < 8; ++b) mask->insert(net::Block24(0x0a0000 + b));
 
-  EXPECT_EQ(split.day_count(), whole.day_count());
-  EXPECT_EQ(split.flows_ingested(), whole.flows_ingested());
-  EXPECT_EQ(split.blocks().size(), whole.blocks().size());
-  for (const BlockStatsStore::ConstRow obs : whole.blocks()) {
-    const BlockStatsStore::ConstRow other = split.find(obs.block());
-    ASSERT_TRUE(other);
-    EXPECT_EQ(other.rx_packets(), obs.rx_packets());
-    EXPECT_EQ(other.rx_est_packets(), obs.rx_est_packets());
-    EXPECT_EQ(other.tx_packets(), obs.tx_packets());
-  }
+  VantageStats stats(mask);
+  stats.add_flows(flows, 100, 3);
+  stats.add_flows(std::span(flows).first(500), 10, 4);
+
+  referee::ReferenceStats expected;
+  expected.add_flows(flows, 100, 3, mask.get());
+  expected.add_flows(std::span(flows).first(500), 10, 4, mask.get());
+  referee::expect_matches_reference(stats, expected);
 }
 
 TEST(VantageStats, MergeCombines) {
@@ -179,6 +183,8 @@ TEST(VantageStats, StoreIterationYieldsEveryBlockOnce) {
   EXPECT_TRUE(seen.contains(0x010101u));
 }
 
+// The referee's per-block value (tests/reference_ingest.hpp).
+
 TEST(BlockObservationStruct, HostBitmap) {
   BlockObservation obs;
   EXPECT_FALSE(obs.host_sent(0));
@@ -202,8 +208,9 @@ TEST(BlockObservationStruct, AvgTcpSize) {
 }
 
 TEST(BlockObservationStruct, RxIpKeepsHostsSorted) {
-  // rx_ip() maintains the sorted-by-host invariant the linear merge relies
-  // on, regardless of insertion order.
+  // rx_ip() maintains the sorted-by-host invariant the linear merge and
+  // the run-by-run comparison with the store rely on, regardless of
+  // insertion order.
   BlockObservation obs;
   for (const std::uint8_t host : {200, 5, 120, 5, 0, 255}) {
     obs.rx_ip(host).packets += 1;
