@@ -8,8 +8,6 @@ namespace mtscope::flow {
 
 namespace {
 
-using util::be_get_u16;
-using util::be_get_u32;
 using util::be_put_u16;
 using util::be_put_u32;
 using util::be_put_u64;
@@ -127,31 +125,37 @@ std::vector<std::vector<std::uint8_t>> IpfixEncoder::encode(std::span<const Flow
 }
 
 util::Result<std::size_t> IpfixDecoder::feed(std::span<const std::uint8_t> message) {
-  if (message.size() < kMessageHeaderSize) {
+  util::ByteReader header(message);
+  const std::uint16_t version = header.be_u16();
+  const std::uint16_t declared_length = header.be_u16();
+  header.skip(8);  // export time + sequence number
+  const std::uint32_t domain = header.be_u32();
+  if (!header.ok()) {
     return util::make_error("ipfix.truncated", "message shorter than header");
   }
-  const std::uint16_t version = be_get_u16(message, 0);
   if (version != kVersion) {
     return util::make_error("ipfix.version", "unsupported IPFIX version");
   }
-  const std::uint16_t declared_length = be_get_u16(message, 2);
-  if (declared_length < kMessageHeaderSize || declared_length > message.size()) {
+  util::ByteReader sets = util::ByteReader(message).take(declared_length);
+  if (declared_length < kMessageHeaderSize || !sets.ok()) {
     return util::make_error("ipfix.length", "declared message length invalid");
   }
-  const std::uint32_t domain = be_get_u32(message, 12);
+  sets.skip(kMessageHeaderSize);
 
   std::size_t decoded_here = 0;
-  std::size_t offset = kMessageHeaderSize;
-  while (offset < declared_length) {
-    if (offset + kSetHeaderSize > declared_length) {
+  while (sets.remaining() > 0) {
+    const std::uint16_t set_id = sets.be_u16();
+    const std::uint16_t set_length = sets.be_u16();
+    if (!sets.ok()) {
       return util::make_error("ipfix.set", "set header cut short");
     }
-    const std::uint16_t set_id = be_get_u16(message, offset);
-    const std::uint16_t set_length = be_get_u16(message, offset + 2);
-    if (set_length < kSetHeaderSize || offset + set_length > declared_length) {
+    if (set_length < kSetHeaderSize) {
       return util::make_error("ipfix.set", "set length invalid");
     }
-    const auto body = message.subspan(offset + kSetHeaderSize, set_length - kSetHeaderSize);
+    const auto body = sets.bytes(set_length - kSetHeaderSize);
+    if (!sets.ok()) {
+      return util::make_error("ipfix.set", "set length invalid");
+    }
 
     if (set_id == kTemplateSetId) {
       auto result = decode_template_set(domain, body);
@@ -164,7 +168,6 @@ util::Result<std::size_t> IpfixDecoder::feed(std::span<const std::uint8_t> messa
       // Options templates (3) and reserved ids: skip per RFC 7011 §8.
       ++sets_skipped_;
     }
-    offset += set_length;
   }
   ++messages_;
   records_ += decoded_here;
@@ -173,26 +176,26 @@ util::Result<std::size_t> IpfixDecoder::feed(std::span<const std::uint8_t> messa
 
 util::Result<std::size_t> IpfixDecoder::decode_template_set(std::uint32_t domain,
                                                             std::span<const std::uint8_t> body) {
-  std::size_t offset = 0;
+  util::ByteReader set(body);
   std::size_t parsed = 0;
   // A template set may hold several template records; trailing bytes smaller
   // than a minimal record are padding.
-  while (offset + 4 <= body.size()) {
-    const std::uint16_t template_id = be_get_u16(body, offset);
-    const std::uint16_t field_count = be_get_u16(body, offset + 2);
+  while (set.remaining() >= 4) {
+    const std::uint16_t template_id = set.be_u16();
+    const std::uint16_t field_count = set.be_u16();
     if (template_id < 256) {
       return util::make_error("ipfix.template", "template id below 256");
     }
-    offset += 4;
-    if (offset + std::size_t{field_count} * 4 > body.size()) {
+    util::ByteReader record = set.take(std::size_t{field_count} * 4);
+    if (!record.ok()) {
       return util::make_error("ipfix.template", "template record cut short");
     }
     std::vector<TemplateField> fields;
     fields.reserve(field_count);
     for (std::uint16_t f = 0; f < field_count; ++f) {
       TemplateField field;
-      field.element_id = be_get_u16(body, offset);
-      field.length = be_get_u16(body, offset + 2);
+      field.element_id = record.be_u16();
+      field.length = record.be_u16();
       if (field.element_id & 0x8000u) {
         return util::make_error("ipfix.template", "enterprise elements not supported");
       }
@@ -200,7 +203,6 @@ util::Result<std::size_t> IpfixDecoder::decode_template_set(std::uint32_t domain
         return util::make_error("ipfix.template", "variable-length fields not supported");
       }
       fields.push_back(field);
-      offset += 4;
     }
     templates_[TemplateKey{domain, template_id}] = std::move(fields);
     ++parsed;
@@ -220,15 +222,14 @@ util::Result<std::size_t> IpfixDecoder::decode_data_set(std::uint32_t domain,
   for (const TemplateField& f : fields) record_size += f.length;
   if (record_size == 0) return util::make_error("ipfix.data", "zero-size record");
 
+  util::ByteReader set(body);
   std::size_t decoded = 0;
-  std::size_t offset = 0;
-  while (offset + record_size <= body.size()) {
+  while (set.remaining() >= record_size) {
+    util::ByteReader record = set.take(record_size);
     FlowRecord r;
     for (const TemplateField& f : fields) {
-      // Read the field value as a big-endian unsigned integer.
-      std::uint64_t value = 0;
       if (f.length > 8) return util::make_error("ipfix.data", "field longer than 8 bytes");
-      for (std::uint16_t b = 0; b < f.length; ++b) value = (value << 8) | body[offset + b];
+      const std::uint64_t value = record.be_uint(f.length);
       switch (f.element_id) {
         case InformationElement::kSourceIPv4Address:
           r.key.src = net::Ipv4Addr(static_cast<std::uint32_t>(value));
@@ -266,7 +267,6 @@ util::Result<std::size_t> IpfixDecoder::decode_data_set(std::uint32_t domain,
         default:
           break;  // tolerate extra elements from richer exporters
       }
-      offset += f.length;
     }
     decoded_.push_back(r);
     ++decoded;

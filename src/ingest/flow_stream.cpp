@@ -1,5 +1,6 @@
 #include "ingest/flow_stream.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 
@@ -12,6 +13,12 @@ namespace {
 constexpr std::uint8_t kMagic[8] = {'M', 'T', 'F', 'L', 'O', 'W', '\r', '\n'};
 constexpr std::size_t kHeaderBytes = 24;  // magic + version + flags + seed + crc
 constexpr std::uint16_t kFlagTiny = 0x0001;
+// A dataset's record count is untrusted until its payload has arrived, so
+// it sizes no buffer: the payload is read, checksummed and decoded this
+// many records at a time, and the flow vector is reserved up to a cap
+// (address space only, touched as records arrive) and grows past it.
+constexpr std::size_t kChunkRecords = 4096;
+constexpr std::size_t kReserveRecords = std::size_t{1} << 20;
 
 void encode_record(std::vector<std::uint8_t>& out, const flow::FlowRecord& r) {
   util::le_put_u32(out, r.key.src.value());
@@ -27,20 +34,20 @@ void encode_record(std::vector<std::uint8_t>& out, const flow::FlowRecord& r) {
   util::le_put_u32(out, r.sampling_rate);
 }
 
-flow::FlowRecord decode_record(std::span<const std::uint8_t> b, std::size_t at) {
-  flow::FlowRecord r;
-  r.key.src = net::Ipv4Addr(util::le_get_u32(b, at + 0));
-  r.key.dst = net::Ipv4Addr(util::le_get_u32(b, at + 4));
-  r.key.src_port = util::le_get_u16(b, at + 8);
-  r.key.dst_port = util::le_get_u16(b, at + 10);
-  r.key.proto = static_cast<net::IpProto>(b[at + 12]);
-  r.tcp_flags_or = b[at + 13];
-  r.first_us = util::le_get_u64(b, at + 14);
-  r.last_us = util::le_get_u64(b, at + 22);
-  r.packets = util::le_get_u64(b, at + 30);
-  r.bytes = util::le_get_u64(b, at + 38);
-  r.sampling_rate = util::le_get_u32(b, at + 46);
-  return r;
+flow::FlowRecord decode_record(util::ByteReader r) {
+  flow::FlowRecord f;
+  f.key.src = net::Ipv4Addr(r.le_u32());
+  f.key.dst = net::Ipv4Addr(r.le_u32());
+  f.key.src_port = r.le_u16();
+  f.key.dst_port = r.le_u16();
+  f.key.proto = static_cast<net::IpProto>(r.u8());
+  f.tcp_flags_or = r.u8();
+  f.first_us = r.le_u64();
+  f.last_us = r.le_u64();
+  f.packets = r.le_u64();
+  f.bytes = r.le_u64();
+  f.sampling_rate = r.le_u32();
+  return f;
 }
 
 }  // namespace
@@ -120,25 +127,23 @@ util::Result<StreamHeader> FlowStreamReader::read_header() {
   if (read_exact(raw) != 0) {
     return util::make_error("stream.truncated", "flow stream shorter than its header");
   }
-  const std::span<const std::uint8_t> bytes(raw, kHeaderBytes);
-  for (std::size_t i = 0; i < sizeof(kMagic); ++i) {
-    if (raw[i] != kMagic[i]) {
-      return util::make_error("stream.bad_magic", "not a flow stream (bad magic)");
-    }
+  util::ByteReader r(raw);
+  const auto magic = r.bytes(sizeof(kMagic));
+  if (!std::equal(magic.begin(), magic.end(), std::begin(kMagic))) {
+    return util::make_error("stream.bad_magic", "not a flow stream (bad magic)");
   }
-  const std::uint16_t version = util::le_get_u16(bytes, 8);
+  const std::uint16_t version = r.le_u16();
   if (version != kFlowStreamVersion) {
     return util::make_error("stream.unsupported_version",
                             "flow stream version " + std::to_string(version) +
                                 " (reader speaks " + std::to_string(kFlowStreamVersion) + ")");
   }
-  const std::uint32_t crc = util::le_get_u32(bytes, kHeaderBytes - 4);
-  if (crc != util::crc32(bytes.first(kHeaderBytes - 4))) {
+  StreamHeader header;
+  header.tiny = (r.le_u16() & kFlagTiny) != 0;
+  header.seed = r.le_u64();
+  if (r.le_u32() != util::crc32(std::span(raw).first(kHeaderBytes - 4))) {
     return util::make_error("stream.bad_crc", "flow stream header checksum mismatch");
   }
-  StreamHeader header;
-  header.tiny = (util::le_get_u16(bytes, 10) & kFlagTiny) != 0;
-  header.seed = util::le_get_u64(bytes, 12);
   return header;
 }
 
@@ -163,41 +168,52 @@ util::Result<StreamEvent> FlowStreamReader::next() {
         return util::make_error("stream.truncated", "flow stream ends inside a day-end frame");
       }
       event.kind = StreamEvent::Kind::kDayEnd;
-      event.day = static_cast<int>(util::le_get_u32(raw, 0));
+      event.day = static_cast<int>(util::ByteReader(raw).le_u32());
       return event;
     }
 
     case StreamEvent::Kind::kDataset: {
-      std::uint8_t fixed[9];  // day + sampling_rate + vantage_len
-      if (read_exact(fixed) != 0) {
+      std::uint8_t raw_fixed[9];  // day + sampling_rate + vantage_len
+      if (read_exact(raw_fixed) != 0) {
         return util::make_error("stream.truncated", "flow stream ends inside a dataset frame");
       }
+      util::ByteReader fixed(raw_fixed);
       event.kind = StreamEvent::Kind::kDataset;
-      event.day = static_cast<int>(util::le_get_u32(fixed, 0));
-      event.sampling_rate = util::le_get_u32(fixed, 4);
-      const std::size_t vantage_len = fixed[8];
+      event.day = static_cast<int>(fixed.le_u32());
+      event.sampling_rate = fixed.le_u32();
+      const std::size_t vantage_len = fixed.u8();
 
-      std::vector<std::uint8_t> var(vantage_len + 8);  // vantage + count + crc
-      if (read_exact(var) != 0) {
+      std::vector<std::uint8_t> raw_var(vantage_len + 8);  // vantage + count + crc
+      if (read_exact(raw_var) != 0) {
         return util::make_error("stream.truncated", "flow stream ends inside a dataset frame");
       }
-      event.vantage.assign(reinterpret_cast<const char*>(var.data()), vantage_len);
-      const std::uint32_t count = util::le_get_u32(var, vantage_len);
-      const std::uint32_t crc = util::le_get_u32(var, vantage_len + 4);
+      util::ByteReader var(raw_var);
+      const auto vantage = var.bytes(vantage_len);
+      event.vantage.assign(vantage.begin(), vantage.end());
+      const std::uint32_t count = var.le_u32();
+      const std::uint32_t crc = var.le_u32();
 
-      std::vector<std::uint8_t> payload(std::size_t{count} * kFlowRecordBytes);
-      if (read_exact(payload) != 0) {
-        return util::make_error("stream.truncated",
-                                "flow stream ends inside a dataset payload (" +
-                                    std::to_string(count) + " records expected)");
+      std::vector<std::uint8_t> chunk;
+      std::uint32_t payload_crc = 0;
+      event.flows.reserve(std::min<std::size_t>(count, kReserveRecords));
+      for (std::size_t left = count; left > 0;) {
+        const std::size_t n = std::min(left, kChunkRecords);
+        chunk.resize(n * kFlowRecordBytes);
+        if (read_exact(chunk) != 0) {
+          return util::make_error("stream.truncated",
+                                  "flow stream ends inside a dataset payload (" +
+                                      std::to_string(count) + " records expected)");
+        }
+        payload_crc = util::crc32(chunk, payload_crc);
+        util::ByteReader records(chunk);
+        for (std::size_t i = 0; i < n; ++i) {
+          event.flows.push_back(decode_record(records.take(kFlowRecordBytes)));
+        }
+        left -= n;
       }
-      if (util::crc32(payload) != crc) {
+      if (payload_crc != crc) {
         return util::make_error("stream.bad_crc", "dataset payload checksum mismatch (day " +
                                                       std::to_string(event.day) + ")");
-      }
-      event.flows.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        event.flows.push_back(decode_record(payload, std::size_t{i} * kFlowRecordBytes));
       }
       return event;
     }

@@ -9,8 +9,6 @@ namespace mtscope::net {
 
 namespace {
 
-using util::be_get_u16;
-using util::be_get_u32;
 using util::be_put_u16;
 using util::be_put_u32;
 
@@ -49,30 +47,31 @@ void Ipv4Header::serialize(std::vector<std::uint8_t>& out) const {
 }
 
 util::Result<Ipv4Header> Ipv4Header::parse(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kMinSize) {
+  util::ByteReader r(bytes);
+  const std::uint8_t version_ihl = r.u8();
+  Ipv4Header h;
+  h.dscp_ecn = r.u8();
+  h.total_length = r.be_u16();
+  h.identification = r.be_u16();
+  h.flags_fragment = r.be_u16();
+  h.ttl = r.u8();
+  h.protocol = static_cast<IpProto>(r.u8());
+  h.checksum = r.be_u16();
+  h.src = Ipv4Addr(r.be_u32());
+  h.dst = Ipv4Addr(r.be_u32());
+  if (!r.ok()) {
     return util::make_error("ipv4.truncated", "buffer shorter than 20 bytes");
   }
-  const std::uint8_t version = bytes[0] >> 4;
-  if (version != 4) return util::make_error("ipv4.version", "not an IPv4 packet");
-  Ipv4Header h;
-  h.ihl = bytes[0] & 0x0f;
+  if ((version_ihl >> 4) != 4) return util::make_error("ipv4.version", "not an IPv4 packet");
+  h.ihl = version_ihl & 0x0f;
   if (h.ihl < 5) return util::make_error("ipv4.ihl", "ihl below minimum");
   const std::size_t header_len = std::size_t{h.ihl} * 4;
-  if (bytes.size() < header_len) {
+  if (!r.skip(header_len - kMinSize)) {
     return util::make_error("ipv4.truncated", "buffer shorter than ihl indicates");
   }
-  h.dscp_ecn = bytes[1];
-  h.total_length = be_get_u16(bytes, 2);
   if (h.total_length < header_len) {
     return util::make_error("ipv4.length", "total_length smaller than header");
   }
-  h.identification = be_get_u16(bytes, 4);
-  h.flags_fragment = be_get_u16(bytes, 6);
-  h.ttl = bytes[8];
-  h.protocol = static_cast<IpProto>(bytes[9]);
-  h.checksum = be_get_u16(bytes, 10);
-  h.src = Ipv4Addr(be_get_u32(bytes, 12));
-  h.dst = Ipv4Addr(be_get_u32(bytes, 16));
   if (internet_checksum(bytes.first(header_len)) != 0) {
     return util::make_error("ipv4.checksum", "header checksum mismatch");
   }
@@ -108,23 +107,24 @@ void TcpHeader::serialize(std::vector<std::uint8_t>& out, Ipv4Addr src, Ipv4Addr
 }
 
 util::Result<TcpHeader> TcpHeader::parse(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kMinSize) {
+  util::ByteReader r(bytes);
+  TcpHeader h;
+  h.src_port = r.be_u16();
+  h.dst_port = r.be_u16();
+  h.seq = r.be_u32();
+  h.ack = r.be_u32();
+  h.data_offset = r.u8() >> 4;
+  h.flags = r.u8();
+  h.window = r.be_u16();
+  h.checksum = r.be_u16();
+  h.urgent = r.be_u16();
+  if (!r.ok()) {
     return util::make_error("tcp.truncated", "buffer shorter than 20 bytes");
   }
-  TcpHeader h;
-  h.src_port = be_get_u16(bytes, 0);
-  h.dst_port = be_get_u16(bytes, 2);
-  h.seq = be_get_u32(bytes, 4);
-  h.ack = be_get_u32(bytes, 8);
-  h.data_offset = bytes[12] >> 4;
   if (h.data_offset < 5) return util::make_error("tcp.offset", "data offset below minimum");
-  if (bytes.size() < std::size_t{h.data_offset} * 4) {
+  if (!r.skip(std::size_t{h.data_offset} * 4 - kMinSize)) {
     return util::make_error("tcp.truncated", "buffer shorter than data offset indicates");
   }
-  h.flags = bytes[13];
-  h.window = be_get_u16(bytes, 14);
-  h.checksum = be_get_u16(bytes, 16);
-  h.urgent = be_get_u16(bytes, 18);
   return h;
 }
 
@@ -148,13 +148,14 @@ void UdpHeader::serialize(std::vector<std::uint8_t>& out, Ipv4Addr src, Ipv4Addr
 }
 
 util::Result<UdpHeader> UdpHeader::parse(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kSize) return util::make_error("udp.truncated", "buffer shorter than 8 bytes");
+  util::ByteReader r(bytes);
   UdpHeader h;
-  h.src_port = be_get_u16(bytes, 0);
-  h.dst_port = be_get_u16(bytes, 2);
-  h.length = be_get_u16(bytes, 4);
+  h.src_port = r.be_u16();
+  h.dst_port = r.be_u16();
+  h.length = r.be_u16();
+  h.checksum = r.be_u16();
+  if (!r.ok()) return util::make_error("udp.truncated", "buffer shorter than 8 bytes");
   if (h.length < kSize) return util::make_error("udp.length", "length below header size");
-  h.checksum = be_get_u16(bytes, 6);
   return h;
 }
 
@@ -173,14 +174,13 @@ void IcmpHeader::serialize(std::vector<std::uint8_t>& out,
 }
 
 util::Result<IcmpHeader> IcmpHeader::parse(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kSize) {
-    return util::make_error("icmp.truncated", "buffer shorter than 8 bytes");
-  }
+  util::ByteReader r(bytes);
   IcmpHeader h;
-  h.type = bytes[0];
-  h.code = bytes[1];
-  h.checksum = be_get_u16(bytes, 2);
-  h.rest = be_get_u32(bytes, 4);
+  h.type = r.u8();
+  h.code = r.u8();
+  h.checksum = r.be_u16();
+  h.rest = r.be_u32();
+  if (!r.ok()) return util::make_error("icmp.truncated", "buffer shorter than 8 bytes");
   return h;
 }
 

@@ -1,7 +1,10 @@
 #include "net/pcap.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
+
+#include "util/bytes.hpp"
 
 namespace mtscope::net {
 
@@ -22,12 +25,15 @@ void put_u16le(std::ostream& out, std::uint16_t v) {
   out.write(bytes, 2);
 }
 
-[[nodiscard]] bool get_u32le(std::istream& in, std::uint32_t& v) {
-  unsigned char bytes[4];
-  if (!in.read(reinterpret_cast<char*>(bytes), 4)) return false;
-  v = std::uint32_t{bytes[0]} | (std::uint32_t{bytes[1]} << 8) | (std::uint32_t{bytes[2]} << 16) |
-      (std::uint32_t{bytes[3]} << 24);
-  return true;
+// The largest record a LINKTYPE_RAW IPv4 capture can hold: an IPv4
+// packet's total_length is a u16.
+constexpr std::uint32_t kMaxRecordBytes = 65535;
+
+/// Read up to out.size() bytes; a short read (EOF) leaves the rest unread
+/// and the returned reader shorter.
+util::ByteReader read_some(std::istream& in, std::span<std::uint8_t> out) {
+  in.read(reinterpret_cast<char*>(out.data()), static_cast<std::streamsize>(out.size()));
+  return util::ByteReader(out.first(static_cast<std::size_t>(in.gcount())));
 }
 
 }  // namespace
@@ -55,35 +61,33 @@ void PcapWriter::write(std::uint64_t timestamp_us, std::span<const std::uint8_t>
 }
 
 util::Result<std::vector<CapturedPacket>> read_pcap(std::istream& in) {
-  std::uint32_t magic = 0;
-  if (!get_u32le(in, magic)) return util::make_error("pcap.truncated", "missing global header");
+  std::uint8_t global[24];
+  util::ByteReader header = read_some(in, global);
+  const std::uint32_t magic = header.le_u32();
+  if (!header.ok()) return util::make_error("pcap.truncated", "missing global header");
   if (magic != kMagic) {
     return util::make_error("pcap.magic", "unsupported pcap magic (expect LE microsecond pcap)");
   }
-  // Skip version (2+2), thiszone (4) and sigfigs (4), then read snaplen +
-  // linktype.
-  in.ignore(12);
-  std::uint32_t snaplen = 0;
-  std::uint32_t linktype = 0;
-  if (!get_u32le(in, snaplen) || !get_u32le(in, linktype)) {
-    return util::make_error("pcap.truncated", "global header too short");
-  }
+  header.skip(12);  // version (2+2), thiszone (4), sigfigs (4)
+  const std::uint32_t snaplen = header.le_u32();
+  const std::uint32_t linktype = header.le_u32();
+  if (!header.ok()) return util::make_error("pcap.truncated", "global header too short");
   if (linktype != kLinkTypeRaw) {
     return util::make_error("pcap.linktype", "expected LINKTYPE_RAW (101)");
   }
 
   std::vector<CapturedPacket> packets;
   for (;;) {
-    std::uint32_t sec = 0;
-    if (!get_u32le(in, sec)) break;  // clean EOF
-    std::uint32_t usec = 0;
-    std::uint32_t incl_len = 0;
-    std::uint32_t orig_len = 0;
-    if (!get_u32le(in, usec) || !get_u32le(in, incl_len) || !get_u32le(in, orig_len)) {
-      return util::make_error("pcap.truncated", "packet header cut short");
-    }
-    if (incl_len > snaplen) {
-      return util::make_error("pcap.record", "captured length exceeds snaplen");
+    std::uint8_t raw[16];
+    util::ByteReader record = read_some(in, raw);
+    const std::uint32_t sec = record.le_u32();
+    if (!record.ok()) break;  // clean EOF
+    const std::uint32_t usec = record.le_u32();
+    const std::uint32_t incl_len = record.le_u32();
+    record.skip(4);  // orig_len
+    if (!record.ok()) return util::make_error("pcap.truncated", "packet header cut short");
+    if (incl_len > std::min(snaplen, kMaxRecordBytes)) {
+      return util::make_error("pcap.record", "captured length exceeds snaplen or 65535");
     }
     CapturedPacket p;
     p.timestamp_us = std::uint64_t{sec} * 1'000'000 + usec;

@@ -37,7 +37,9 @@ class PcapWriter {
 
 /// Whole-file pcap reader.  Accepts only the little-endian microsecond
 /// variant this library writes (sufficient for round-tripping; foreign
-/// captures with other magics produce a clean error, not garbage).
+/// captures with other magics produce a clean error, not garbage).  A
+/// record longer than the file's snaplen or than an IPv4 packet (65535
+/// bytes) is pcap.record.
 [[nodiscard]] util::Result<std::vector<CapturedPacket>> read_pcap(std::istream& in);
 
 }  // namespace mtscope::net

@@ -23,7 +23,6 @@
 
 #include "serve/analytics_format.hpp"
 #include "serve/wire.hpp"
-#include "util/bytes.hpp"
 #include "util/strings.hpp"
 
 namespace mtscope::serve {
@@ -493,13 +492,7 @@ class QueryServer::Reactor {
     const auto t0 = request_timer_ != nullptr ? Clock::now() : Clock::time_point{};
     const auto decoded = wire::decode_request(frame);
     if (!decoded.ok()) {
-      // The addr field is echoed only when the frame's seal held; after a
-      // CRC failure no field is trustworthy, so the reply carries 0.
-      const auto reason = wire::invalid_reason(decoded.error().code);
-      const net::Ipv4Addr addr = reason == wire::InvalidReason::kBadCrc
-                                     ? net::Ipv4Addr(0)
-                                     : net::Ipv4Addr(util::le_get_u32(frame, 4));
-      wire::append_response(batch_, wire::make_invalid_response(addr, reason));
+      wire::append_response(batch_, wire::invalid_response_for(frame, decoded.error()));
       server_.invalid_.fetch_add(1, std::memory_order_relaxed);
       if (invalid_counter_ != nullptr) invalid_counter_->add(1);
     } else if (decoded.value().verb == wire::Verb::kLookup) {

@@ -13,9 +13,6 @@ namespace mtscope::serve {
 namespace {
 
 using util::crc32;
-using util::le_get_u16;
-using util::le_get_u32;
-using util::le_get_u64;
 using util::le_patch_u32;
 using util::le_put_u16;
 using util::le_put_u32;
@@ -176,38 +173,38 @@ std::vector<std::uint8_t> serialize_analytics(const AnalyticsData& a) {
 util::Result<AnalyticsData> parse_analytics(std::span<const std::uint8_t> body,
                                             std::size_t block_count,
                                             std::size_t prefix_count) {
-  if (body.size() < kAnalyticsFixedSize) {
+  util::ByteReader r(body);
+  AnalyticsData a;
+  a.first_day = r.le_u32();
+  a.window_days = r.le_u32();
+  const std::uint32_t label_count = r.le_u32();
+  const std::uint32_t cell_count = r.le_u32();
+  const std::uint32_t series_count = r.le_u32();
+  const std::uint32_t outage_count = r.le_u32();
+  const std::uint32_t service_count = r.le_u32();
+  const std::uint32_t scanner_count = r.le_u32();
+  if (!r.ok()) {
     return err("snapshot.bad_section", "ANALYTICS section shorter than its header");
   }
-  AnalyticsData a;
-  a.first_day = le_get_u32(body, 0);
-  a.window_days = le_get_u32(body, 4);
-  const std::uint32_t label_count = le_get_u32(body, 8);
-  const std::uint32_t cell_count = le_get_u32(body, 12);
-  const std::uint32_t series_count = le_get_u32(body, 16);
-  const std::uint32_t outage_count = le_get_u32(body, 20);
-  const std::uint32_t service_count = le_get_u32(body, 24);
-  const std::uint32_t scanner_count = le_get_u32(body, 28);
   const std::uint64_t expected =
-      kAnalyticsFixedSize + std::uint64_t{label_count} * kLabelSize +
-      std::uint64_t{cell_count} * kCellSize + std::uint64_t{series_count} * kSeriesPointSize +
-      std::uint64_t{outage_count} * kOutageSize + std::uint64_t{service_count} * kServiceSize +
-      std::uint64_t{scanner_count} * kScannerSize;
-  if (body.size() != expected) {
+      std::uint64_t{label_count} * kLabelSize + std::uint64_t{cell_count} * kCellSize +
+      std::uint64_t{series_count} * kSeriesPointSize + std::uint64_t{outage_count} * kOutageSize +
+      std::uint64_t{service_count} * kServiceSize + std::uint64_t{scanner_count} * kScannerSize;
+  if (r.remaining() != expected) {
     return err("snapshot.bad_section", "ANALYTICS record counts disagree with section length");
   }
   if (label_count != block_count) {
     return err("snapshot.bad_section", "ANALYTICS label count disagrees with the block table");
   }
-  std::size_t at = kAnalyticsFixedSize;
 
   a.labels.reserve(label_count);
-  for (std::uint32_t i = 0; i < label_count; ++i, at += kLabelSize) {
+  for (std::uint32_t i = 0; i < label_count; ++i) {
+    util::ByteReader e = r.take(kLabelSize);
     BlockLabel l;
-    l.country[0] = static_cast<char>(body[at]);
-    l.country[1] = static_cast<char>(body[at + 1]);
-    l.continent = body[at + 2];
-    l.net_type = body[at + 3];
+    l.country[0] = static_cast<char>(e.u8());
+    l.country[1] = static_cast<char>(e.u8());
+    l.continent = e.u8();
+    l.net_type = e.u8();
     if (l.continent > kMaxContinent || l.net_type > kMaxNetType) {
       return err("snapshot.bad_section", "ANALYTICS label has an out-of-range ordinal");
     }
@@ -215,14 +212,15 @@ util::Result<AnalyticsData> parse_analytics(std::span<const std::uint8_t> body,
   }
 
   a.cells.reserve(cell_count);
-  for (std::uint32_t i = 0; i < cell_count; ++i, at += kCellSize) {
+  for (std::uint32_t i = 0; i < cell_count; ++i) {
+    util::ByteReader e = r.take(kCellSize);
     PortCell c;
-    c.block = le_get_u32(body, at);
-    c.port = le_get_u16(body, at + 4);
-    if (le_get_u16(body, at + 6) != 0) {
+    c.block = e.le_u32();
+    c.port = e.le_u16();
+    if (e.le_u16() != 0) {
       return err("snapshot.bad_section", "ANALYTICS cell has non-zero padding");
     }
-    c.packets = le_get_u64(body, at + 8);
+    c.packets = e.le_u64();
     if (!a.cells.empty() && std::pair(a.cells.back().block, a.cells.back().port) >=
                                 std::pair(c.block, c.port)) {
       return err("snapshot.bad_section", "ANALYTICS cells are not strictly ascending");
@@ -231,11 +229,12 @@ util::Result<AnalyticsData> parse_analytics(std::span<const std::uint8_t> body,
   }
 
   a.series.reserve(series_count);
-  for (std::uint32_t i = 0; i < series_count; ++i, at += kSeriesPointSize) {
+  for (std::uint32_t i = 0; i < series_count; ++i) {
+    util::ByteReader e = r.take(kSeriesPointSize);
     SeriesPoint p;
-    p.prefix_id = le_get_u32(body, at);
-    p.day = le_get_u32(body, at + 4);
-    p.packets = le_get_u64(body, at + 8);
+    p.prefix_id = e.le_u32();
+    p.day = e.le_u32();
+    p.packets = e.le_u64();
     if (p.prefix_id >= prefix_count) {
       return err("snapshot.bad_section", "ANALYTICS series references a missing prefix");
     }
@@ -253,14 +252,15 @@ util::Result<AnalyticsData> parse_analytics(std::span<const std::uint8_t> body,
   }
 
   a.outages.reserve(outage_count);
-  for (std::uint32_t i = 0; i < outage_count; ++i, at += kOutageSize) {
+  for (std::uint32_t i = 0; i < outage_count; ++i) {
+    util::ByteReader e = r.take(kOutageSize);
     analytics::OutageEvent o;
-    o.prefix_id = le_get_u32(body, at);
-    o.start_day = le_get_u32(body, at + 4);
-    o.end_day = le_get_u32(body, at + 8);
-    o.severity_pct = le_get_u32(body, at + 12);
-    o.baseline = le_get_u64(body, at + 16);
-    o.observed = le_get_u64(body, at + 24);
+    o.prefix_id = e.le_u32();
+    o.start_day = e.le_u32();
+    o.end_day = e.le_u32();
+    o.severity_pct = e.le_u32();
+    o.baseline = e.le_u64();
+    o.observed = e.le_u64();
     if (o.prefix_id >= prefix_count) {
       return err("snapshot.bad_section", "ANALYTICS outage references a missing prefix");
     }
@@ -271,13 +271,14 @@ util::Result<AnalyticsData> parse_analytics(std::span<const std::uint8_t> body,
   }
 
   a.services.reserve(service_count);
-  for (std::uint32_t i = 0; i < service_count; ++i, at += kServiceSize) {
+  for (std::uint32_t i = 0; i < service_count; ++i) {
+    util::ByteReader e = r.take(kServiceSize);
     analytics::ServicePortStat s;
-    s.continent = body[at];
-    s.net_type = body[at + 1];
-    s.port = le_get_u16(body, at + 2);
-    s.rank = le_get_u32(body, at + 4);
-    s.packets = le_get_u64(body, at + 8);
+    s.continent = e.u8();
+    s.net_type = e.u8();
+    s.port = e.le_u16();
+    s.rank = e.le_u32();
+    s.packets = e.le_u64();
     if (s.continent > kMaxContinent || s.net_type > kMaxNetType) {
       return err("snapshot.bad_section", "ANALYTICS service has an out-of-range ordinal");
     }
@@ -292,15 +293,16 @@ util::Result<AnalyticsData> parse_analytics(std::span<const std::uint8_t> body,
   }
 
   a.scanners.reserve(scanner_count);
-  for (std::uint32_t i = 0; i < scanner_count; ++i, at += kScannerSize) {
+  for (std::uint32_t i = 0; i < scanner_count; ++i) {
+    util::ByteReader e = r.take(kScannerSize);
     analytics::ScannerProfile s;
-    s.src_block = le_get_u32(body, at);
-    s.blocks_touched = le_get_u32(body, at + 4);
-    s.ports_touched = le_get_u32(body, at + 8);
-    if (le_get_u32(body, at + 12) != 0) {
+    s.src_block = e.le_u32();
+    s.blocks_touched = e.le_u32();
+    s.ports_touched = e.le_u32();
+    if (e.le_u32() != 0) {
       return err("snapshot.bad_section", "ANALYTICS scanner has non-zero padding");
     }
-    s.est_packets = le_get_u64(body, at + 16);
+    s.est_packets = e.le_u64();
     if (!a.scanners.empty()) {
       const auto& prev = a.scanners.back();
       if (std::pair(prev.est_packets, s.src_block) <= std::pair(s.est_packets, prev.src_block)) {
@@ -314,45 +316,49 @@ util::Result<AnalyticsData> parse_analytics(std::span<const std::uint8_t> body,
 }
 
 util::Result<RunMetadata> parse_meta(std::span<const std::uint8_t> body) {
-  if (body.size() < kMetaFixedSize) {
+  util::ByteReader r(body);
+  RunMetadata m;
+  m.seed = r.le_u64();
+  m.spoof_tolerance_pkts = r.le_u64();
+  m.flows_ingested = r.le_u64();
+  m.created_unix_s = r.le_u64();
+  m.threads = r.le_u32();
+  m.shards = r.le_u32();
+  m.days = r.le_u32();
+  const std::uint32_t source_len = r.le_u32();
+  if (!r.ok()) {
     return err("snapshot.bad_section", "META section shorter than its fixed fields");
   }
-  RunMetadata m;
-  m.seed = le_get_u64(body, 0);
-  m.spoof_tolerance_pkts = le_get_u64(body, 8);
-  m.flows_ingested = le_get_u64(body, 16);
-  m.created_unix_s = le_get_u64(body, 24);
-  m.threads = le_get_u32(body, 32);
-  m.shards = le_get_u32(body, 36);
-  m.days = le_get_u32(body, 40);
-  const std::uint32_t source_len = le_get_u32(body, 44);
-  if (body.size() != kMetaFixedSize + source_len) {
+  if (r.remaining() != source_len) {
     return err("snapshot.bad_section", "META source string length mismatch");
   }
-  m.source.assign(reinterpret_cast<const char*>(body.data()) + kMetaFixedSize, source_len);
+  const auto source = r.bytes(source_len);
+  m.source.assign(source.begin(), source.end());
   return m;
 }
 
 util::Result<std::vector<PrefixEntry>> parse_prefixes(std::span<const std::uint8_t> body) {
-  if (body.size() < 4) {
+  util::ByteReader r(body);
+  const std::uint32_t count = r.le_u32();
+  if (!r.ok()) {
     return err("snapshot.bad_section", "PREFIXES section shorter than its count field");
   }
-  const std::uint32_t count = le_get_u32(body, 0);
-  if (body.size() != 4 + std::uint64_t{count} * kPrefixEntrySize) {
+  if (r.remaining() != std::uint64_t{count} * kPrefixEntrySize) {
     return err("snapshot.bad_section", "PREFIXES entry count disagrees with section length");
   }
   std::vector<PrefixEntry> out;
   out.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    const std::size_t at = 4 + std::size_t{i} * kPrefixEntrySize;
+    util::ByteReader e = r.take(kPrefixEntrySize);
     PrefixEntry p;
-    p.base = le_get_u32(body, at);
-    p.origin_asn = le_get_u32(body, at + 4);
-    p.length = body[at + 8];
+    p.base = e.le_u32();
+    p.origin_asn = e.le_u32();
+    p.length = e.u8();
+    const std::uint64_t padding = e.be_uint(3);
     if (p.length > 32 || (p.base & ~net::Prefix::mask_for(p.length)) != 0) {
       return err("snapshot.bad_section", "PREFIXES entry is not a canonical prefix");
     }
-    if (body[at + 9] != 0 || body[at + 10] != 0 || body[at + 11] != 0) {
+    if (padding != 0) {
       return err("snapshot.bad_section", "PREFIXES entry has non-zero padding");
     }
     if (!out.empty() &&
@@ -367,20 +373,21 @@ util::Result<std::vector<PrefixEntry>> parse_prefixes(std::span<const std::uint8
 util::Result<std::vector<BlockEntry>> parse_blocks(std::span<const std::uint8_t> body,
                                                    std::size_t prefix_count,
                                                    std::array<std::uint64_t, 3>& class_totals) {
-  if (body.size() < 4) {
+  util::ByteReader r(body);
+  const std::uint32_t count = r.le_u32();
+  if (!r.ok()) {
     return err("snapshot.bad_section", "BLOCKS section shorter than its count field");
   }
-  const std::uint32_t count = le_get_u32(body, 0);
-  if (body.size() != 4 + std::uint64_t{count} * kBlockEntrySize) {
+  if (r.remaining() != std::uint64_t{count} * kBlockEntrySize) {
     return err("snapshot.bad_section", "BLOCKS entry count disagrees with section length");
   }
   std::vector<BlockEntry> out;
   out.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    const std::size_t at = 4 + std::size_t{i} * kBlockEntrySize;
+    util::ByteReader e = r.take(kBlockEntrySize);
     BlockEntry b;
-    b.packed = le_get_u32(body, at);
-    b.prefix_id = le_get_u32(body, at + 4);
+    b.packed = e.le_u32();
+    b.prefix_id = e.le_u32();
     if ((b.packed >> 26) != 0 || ((b.packed >> 24) & 0x3u) > 2) {
       return err("snapshot.bad_section", "BLOCKS entry has an invalid class");
     }
@@ -514,53 +521,59 @@ std::vector<std::uint8_t> serialize_snapshot(const TelescopeSnapshot& snapshot) 
 }
 
 util::Result<TelescopeSnapshot> parse_snapshot(std::span<const std::uint8_t> data) {
-  if (data.size() < kHeaderSize) {
+  util::ByteReader r(data);
+  const auto magic = r.bytes(kMagic.size());
+  const std::uint16_t version = r.le_u16();
+  r.skip(2);  // flags
+  const std::uint32_t section_count = r.le_u32();
+  const std::uint64_t file_size = r.le_u64();
+  if (!r.ok()) {
     return err("snapshot.truncated", "file shorter than the snapshot header");
   }
-  if (!std::equal(kMagic.begin(), kMagic.end(), data.begin())) {
+  if (!std::equal(kMagic.begin(), kMagic.end(), magic.begin())) {
     return err("snapshot.bad_magic", "not a telescope snapshot (magic mismatch)");
   }
-  const std::uint16_t version = le_get_u16(data, 8);
   if (version == 0 || version > kSnapshotVersion) {
     return err("snapshot.unsupported_version",
                "snapshot version " + std::to_string(version) + " is not supported (max " +
                    std::to_string(kSnapshotVersion) + ")");
   }
-  const std::uint32_t section_count = le_get_u32(data, 12);
   const std::uint32_t expected_sections = version >= 2 ? 5 : 4;
   if (section_count != expected_sections) {
     return err("snapshot.bad_section",
                "version " + std::to_string(version) + " snapshots carry exactly " +
                    std::to_string(expected_sections) + " sections");
   }
-  const std::uint64_t file_size = le_get_u64(data, 16);
   if (file_size != data.size()) {
     return err("snapshot.truncated", "file size disagrees with the header (" +
                                          std::to_string(data.size()) + " bytes on disk, " +
                                          std::to_string(file_size) + " declared)");
   }
   const std::size_t table_end = kHeaderSize + section_count * kTableEntrySize;
-  if (data.size() < table_end + 4) {
+  util::ByteReader table = r.take(section_count * kTableEntrySize);
+  const std::uint32_t table_crc = r.le_u32();
+  if (!r.ok()) {
     return err("snapshot.truncated", "file ends inside the section table");
   }
-  if (le_get_u32(data, table_end) != crc32(data.first(table_end))) {
+  if (table_crc != crc32(data.first(table_end))) {
     return err("snapshot.bad_crc", "header/table checksum mismatch");
   }
 
   std::array<std::span<const std::uint8_t>, 5> sections;
   for (std::size_t i = 0; i < section_count; ++i) {
-    const std::size_t at = kHeaderSize + i * kTableEntrySize;
-    const std::uint32_t kind = le_get_u32(data, at);
-    const std::uint32_t crc = le_get_u32(data, at + 4);
-    const std::uint64_t offset = le_get_u64(data, at + 8);
-    const std::uint64_t length = le_get_u64(data, at + 16);
+    const std::uint32_t kind = table.le_u32();
+    const std::uint32_t crc = table.le_u32();
+    const std::uint64_t offset = table.le_u64();
+    const std::uint64_t length = table.le_u64();
     if (kind != kSectionOrder[i]) {
       return err("snapshot.bad_section", "unexpected section kind or order");
     }
-    if (offset < table_end + 4 || offset > data.size() || length > data.size() - offset) {
+    util::ByteReader file(data);
+    file.skip(offset);
+    sections[i] = file.bytes(length);
+    if (offset < table_end + 4 || !file.ok()) {
       return err("snapshot.truncated", "section extends past the end of the file");
     }
-    sections[i] = data.subspan(offset, length);
     if (crc32(sections[i]) != crc) {
       return err("snapshot.bad_crc", "section " + std::to_string(kind) + " checksum mismatch");
     }
@@ -574,16 +587,17 @@ util::Result<TelescopeSnapshot> parse_snapshot(std::span<const std::uint8_t> dat
   if (sections[1].size() != kFunnelSize) {
     return err("snapshot.bad_section", "FUNNEL section has the wrong size");
   }
-  snapshot.funnel.seen = le_get_u64(sections[1], 0);
-  snapshot.funnel.after_tcp = le_get_u64(sections[1], 8);
-  snapshot.funnel.after_size = le_get_u64(sections[1], 16);
-  snapshot.funnel.after_source = le_get_u64(sections[1], 24);
-  snapshot.funnel.after_reserved = le_get_u64(sections[1], 32);
-  snapshot.funnel.after_routed = le_get_u64(sections[1], 40);
-  snapshot.funnel.after_volume = le_get_u64(sections[1], 48);
-  snapshot.dark_count = le_get_u64(sections[1], 56);
-  snapshot.unclean_count = le_get_u64(sections[1], 64);
-  snapshot.gray_count = le_get_u64(sections[1], 72);
+  util::ByteReader funnel(sections[1]);
+  snapshot.funnel.seen = funnel.le_u64();
+  snapshot.funnel.after_tcp = funnel.le_u64();
+  snapshot.funnel.after_size = funnel.le_u64();
+  snapshot.funnel.after_source = funnel.le_u64();
+  snapshot.funnel.after_reserved = funnel.le_u64();
+  snapshot.funnel.after_routed = funnel.le_u64();
+  snapshot.funnel.after_volume = funnel.le_u64();
+  snapshot.dark_count = funnel.le_u64();
+  snapshot.unclean_count = funnel.le_u64();
+  snapshot.gray_count = funnel.le_u64();
 
   auto prefixes = parse_prefixes(sections[2]);
   if (!prefixes.ok()) return prefixes.error();

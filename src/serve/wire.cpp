@@ -9,9 +9,6 @@ namespace mtscope::serve::wire {
 namespace {
 
 using util::crc32;
-using util::le_get_u16;
-using util::le_get_u32;
-using util::le_get_u64;
 using util::le_patch_u16;
 using util::le_patch_u32;
 using util::le_patch_u64;
@@ -62,31 +59,33 @@ void append_response(std::string& out, const Response& response) {
 }
 
 util::Result<Request> decode_request(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kRequestSize) {
+  util::ByteReader frame(bytes);
+  const auto sealed = frame.bytes(8);
+  const std::uint32_t stored = frame.le_u32();
+  if (!frame.ok()) {
     return wire_error("wire.truncated",
                       "request frame needs " + std::to_string(kRequestSize) + " bytes, got " +
                           std::to_string(bytes.size()));
   }
-  const auto frame = bytes.first(kRequestSize);
   // CRC first: a frame that fails the seal has no trustworthy fields, so
   // random corruption is always wire.bad_crc, never a misread verb.
-  const std::uint32_t expected = crc32(frame.first(8));
-  const std::uint32_t stored = le_get_u32(frame, 8);
-  if (stored != expected) {
+  if (stored != crc32(sealed)) {
     return wire_error("wire.bad_crc", "request frame checksum mismatch");
   }
-  const std::uint8_t verb = frame[0];
+  util::ByteReader fields(sealed);
+  Request request;
+  const std::uint8_t verb = fields.u8();
+  request.plen = fields.u8();
+  const std::uint16_t reserved = fields.le_u16();
+  request.addr = net::Ipv4Addr(fields.le_u32());
   if (verb != static_cast<std::uint8_t>(Verb::kLookup) &&
       verb != static_cast<std::uint8_t>(Verb::kCountIn)) {
     return wire_error("wire.bad_verb", "unknown verb " + std::to_string(verb));
   }
-  if (le_get_u16(frame, 2) != 0) {
+  if (reserved != 0) {
     return wire_error("wire.bad_reserved", "reserved field must be zero");
   }
-  Request request;
   request.verb = static_cast<Verb>(verb);
-  request.plen = frame[1];
-  request.addr = net::Ipv4Addr(le_get_u32(frame, 4));
   if (request.verb == Verb::kLookup ? request.plen != 0 : request.plen > kMaxCountPlen) {
     return wire_error("wire.bad_plen",
                       "prefix length " + std::to_string(request.plen) + " invalid for verb " +
@@ -96,32 +95,34 @@ util::Result<Request> decode_request(std::span<const std::uint8_t> bytes) {
 }
 
 util::Result<Response> decode_response(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kResponseSize) {
+  util::ByteReader frame(bytes);
+  const auto sealed = frame.bytes(16);
+  const std::uint32_t stored = frame.le_u32();
+  if (!frame.ok()) {
     return wire_error("wire.truncated",
                       "response frame needs " + std::to_string(kResponseSize) + " bytes, got " +
                           std::to_string(bytes.size()));
   }
-  const auto frame = bytes.first(kResponseSize);
-  const std::uint32_t expected = crc32(frame.first(16));
-  const std::uint32_t stored = le_get_u32(frame, 16);
-  if (stored != expected) {
+  if (stored != crc32(sealed)) {
     return wire_error("wire.bad_crc", "response frame checksum mismatch");
   }
-  const std::uint8_t status = frame[0];
+  util::ByteReader fields(sealed);
+  Response response;
+  const std::uint8_t status = fields.u8();
+  response.cls = fields.u8();
+  const std::uint8_t flags = fields.u8();
+  response.plen = fields.u8();
+  response.addr = net::Ipv4Addr(fields.le_u32());
+  const std::uint64_t payload = fields.le_u64();
   if (status > static_cast<std::uint8_t>(Status::kCount)) {
     return wire_error("wire.bad_status", "unknown status " + std::to_string(status));
   }
-  const std::uint8_t flags = frame[2];
   if ((flags & ~kKnownFlags) != 0) {
     return wire_error("wire.bad_flags", "undefined flag bits set");
   }
-  Response response;
   response.status = static_cast<Status>(status);
-  response.cls = frame[1];
   response.has_prefix = (flags & kFlagPrefix) != 0;
   response.has_origin = (flags & kFlagOrigin) != 0;
-  response.plen = frame[3];
-  response.addr = net::Ipv4Addr(le_get_u32(frame, 4));
   if (response.status == Status::kVerdict && response.cls > kClassNone) {
     return wire_error("wire.bad_class", "unknown class code " + std::to_string(response.cls));
   }
@@ -129,10 +130,10 @@ util::Result<Response> decode_response(std::span<const std::uint8_t> bytes) {
     return wire_error("wire.bad_plen", "prefix length " + std::to_string(response.plen));
   }
   if (response.status == Status::kCount) {
-    response.count = le_get_u64(frame, 8);
+    response.count = payload;
   } else {
-    response.prefix_base = le_get_u32(frame, 8);
-    response.origin_asn = le_get_u32(frame, 12);
+    response.prefix_base = static_cast<std::uint32_t>(payload);
+    response.origin_asn = static_cast<std::uint32_t>(payload >> 32);
   }
   return response;
 }
@@ -142,6 +143,16 @@ InvalidReason invalid_reason(std::string_view error_code) noexcept {
   if (error_code == "wire.bad_reserved") return InvalidReason::kBadReserved;
   if (error_code == "wire.bad_plen") return InvalidReason::kBadPlen;
   return InvalidReason::kBadCrc;
+}
+
+Response invalid_response_for(std::span<const std::uint8_t> frame, const util::Error& error) {
+  const InvalidReason reason = invalid_reason(error.code);
+  // The addr field is echoed only when the frame's seal held; after a CRC
+  // failure no field is trustworthy, so the reply carries 0.
+  util::ByteReader fields(frame);
+  fields.skip(4);
+  const std::uint32_t addr = reason == InvalidReason::kBadCrc ? 0 : fields.le_u32();
+  return make_invalid_response(net::Ipv4Addr(addr), reason);
 }
 
 Response make_verdict_response(net::Ipv4Addr addr,

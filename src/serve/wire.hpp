@@ -119,6 +119,12 @@ void append_response(std::string& out, const Response& response);
 /// response carries (wire.bad_crc -> kBadCrc, ...).
 [[nodiscard]] InvalidReason invalid_reason(std::string_view error_code) noexcept;
 
+/// The invalid-frame response for a request frame decode_request refused
+/// with `error`: its reason byte, and the frame's addr echoed only when
+/// the frame's CRC held.
+[[nodiscard]] Response invalid_response_for(std::span<const std::uint8_t> frame,
+                                            const util::Error& error);
+
 /// Build the binary answer for one lookup — the exact semantic twin of
 /// format_verdict(addr, verdict), so the two protocols cannot drift.
 [[nodiscard]] Response make_verdict_response(

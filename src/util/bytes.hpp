@@ -1,21 +1,21 @@
 // Byte-order helpers shared by every wire codec and on-disk format.
 //
-// Three families, all operating on explicit byte sequences so the code is
-// host-endianness-agnostic by construction:
+// Host-endianness-agnostic by construction — every value is assembled from
+// or split into explicit bytes:
 //
-//   * be_put_* / be_get_* — network byte order (big-endian), used by the
-//     IPFIX and NetFlow v5 codecs and the packet-header serializers.
-//   * le_put_* / le_get_* — little-endian, the byte order of the telescope
-//     snapshot format (DESIGN.md §10): snapshots are written once and
-//     served many times on x86-class hardware, so the on-disk layout
+//   * be_put_* — network byte order (big-endian), used by the IPFIX codec
+//     and the packet-header serializers.
+//   * le_put_* / le_patch_* — little-endian, the byte order of the
+//     telescope snapshot format (DESIGN.md §10): snapshots are written once
+//     and served many times on x86-class hardware, so the on-disk layout
 //     matches the dominant load target.
+//   * ByteReader — the one way a decoder reads bytes it did not write.
+//     Every read is bounds-checked against the reader's span; an overrun
+//     latches !ok() and yields zeros from then on, so a decoder reads a
+//     whole structure and checks ok() once, mapping failure to its own
+//     typed truncation error.
 //   * crc32 — IEEE 802.3 polynomial (reflected, init/xorout 0xffffffff),
-//     the per-section checksum of the snapshot format.
-//
-// Getters deliberately take (span, offset) instead of a raw pointer: all
-// callers already hold a span, and the span's bounds are the only defence
-// a parser has.  Callers are responsible for offset+width <= size (the
-// codecs all check lengths up front).
+//     the seal of the snapshot sections, MTFLOW frames and MTBIN frames.
 #pragma once
 
 #include <array>
@@ -42,18 +42,6 @@ inline void be_put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   be_put_u32(out, static_cast<std::uint32_t>(v & 0xffffffff));
 }
 
-[[nodiscard]] inline std::uint16_t be_get_u16(std::span<const std::uint8_t> b, std::size_t at) {
-  return static_cast<std::uint16_t>((std::uint16_t{b[at]} << 8) | b[at + 1]);
-}
-
-[[nodiscard]] inline std::uint32_t be_get_u32(std::span<const std::uint8_t> b, std::size_t at) {
-  return (std::uint32_t{be_get_u16(b, at)} << 16) | be_get_u16(b, at + 2);
-}
-
-[[nodiscard]] inline std::uint64_t be_get_u64(std::span<const std::uint8_t> b, std::size_t at) {
-  return (std::uint64_t{be_get_u32(b, at)} << 32) | be_get_u32(b, at + 4);
-}
-
 // --- little-endian (snapshot on-disk order) -------------------------------
 
 inline void le_put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
@@ -69,18 +57,6 @@ inline void le_put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
 inline void le_put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   le_put_u32(out, static_cast<std::uint32_t>(v & 0xffffffff));
   le_put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-[[nodiscard]] inline std::uint16_t le_get_u16(std::span<const std::uint8_t> b, std::size_t at) {
-  return static_cast<std::uint16_t>(std::uint16_t{b[at]} | (std::uint16_t{b[at + 1]} << 8));
-}
-
-[[nodiscard]] inline std::uint32_t le_get_u32(std::span<const std::uint8_t> b, std::size_t at) {
-  return std::uint32_t{le_get_u16(b, at)} | (std::uint32_t{le_get_u16(b, at + 2)} << 16);
-}
-
-[[nodiscard]] inline std::uint64_t le_get_u64(std::span<const std::uint8_t> b, std::size_t at) {
-  return std::uint64_t{le_get_u32(b, at)} | (std::uint64_t{le_get_u32(b, at + 4)} << 32);
 }
 
 /// Overwrite already-emitted little-endian fields in place — for length /
@@ -100,6 +76,87 @@ inline void le_patch_u64(std::span<std::uint8_t> b, std::size_t at, std::uint64_
   le_patch_u32(b, at, static_cast<std::uint32_t>(v & 0xffffffff));
   le_patch_u32(b, at + 4, static_cast<std::uint32_t>(v >> 32));
 }
+
+// --- bounds-checked reading ----------------------------------------------
+
+/// A cursor over untrusted bytes.  Reads advance the cursor; a read past
+/// the end latches failure, moves the cursor to the end and returns zero
+/// (or an empty span / failed sub-reader), so every later read also
+/// returns zero and one ok() check after a structure covers all of it.
+class ByteReader {
+ public:
+  explicit ByteReader(std::span<const std::uint8_t> bytes) noexcept : bytes_(bytes) {}
+
+  /// False once any read, skip or take has run past the end.
+  [[nodiscard]] bool ok() const noexcept { return ok_; }
+  [[nodiscard]] std::size_t remaining() const noexcept { return bytes_.size() - at_; }
+
+  std::uint8_t u8() noexcept {
+    const std::uint8_t* p = advance(1);
+    return p != nullptr ? p[0] : 0;
+  }
+  std::uint16_t be_u16() noexcept { return static_cast<std::uint16_t>(be_uint(2)); }
+  std::uint32_t be_u32() noexcept { return static_cast<std::uint32_t>(be_uint(4)); }
+  std::uint64_t be_u64() noexcept { return be_uint(8); }
+  std::uint16_t le_u16() noexcept { return static_cast<std::uint16_t>(le_uint(2)); }
+  std::uint32_t le_u32() noexcept { return static_cast<std::uint32_t>(le_uint(4)); }
+  std::uint64_t le_u64() noexcept { return le_uint(8); }
+
+  /// A big-endian unsigned integer `len` bytes wide (IPFIX fields are 1..8
+  /// bytes).  `len` must be at most 8.
+  std::uint64_t be_uint(std::size_t len) noexcept {
+    const std::uint8_t* p = advance(len);
+    std::uint64_t v = 0;
+    if (p != nullptr) {
+      for (std::size_t i = 0; i < len; ++i) v = (v << 8) | p[i];
+    }
+    return v;
+  }
+
+  /// The next n bytes as a raw span (for CRC input and strings).
+  std::span<const std::uint8_t> bytes(std::size_t n) noexcept {
+    const std::uint8_t* p = advance(n);
+    return p != nullptr ? std::span<const std::uint8_t>(p, n) : std::span<const std::uint8_t>{};
+  }
+
+  /// A reader over the next n bytes; it starts failed if they are not all
+  /// there.
+  ByteReader take(std::size_t n) noexcept {
+    ByteReader sub(bytes(n));
+    sub.ok_ = ok_;
+    return sub;
+  }
+
+  bool skip(std::size_t n) noexcept {
+    advance(n);
+    return ok_;
+  }
+
+ private:
+  std::uint64_t le_uint(std::size_t len) noexcept {
+    const std::uint8_t* p = advance(len);
+    std::uint64_t v = 0;
+    if (p != nullptr) {
+      for (std::size_t i = len; i-- > 0;) v = (v << 8) | p[i];
+    }
+    return v;
+  }
+
+  const std::uint8_t* advance(std::size_t n) noexcept {
+    if (n > bytes_.size() - at_) {
+      ok_ = false;
+      at_ = bytes_.size();
+      return nullptr;
+    }
+    const std::uint8_t* p = bytes_.data() + at_;
+    at_ += n;
+    return p;
+  }
+
+  std::span<const std::uint8_t> bytes_;
+  std::size_t at_ = 0;
+  bool ok_ = true;
+};
 
 // --- CRC32 (IEEE 802.3) ---------------------------------------------------
 

@@ -16,6 +16,9 @@
 //    reply must byte-match a published epoch's verdict (continuity across
 //    the swap), and no query may be dropped.
 //
+//  * the MTFLOW reader's error paths — every documented error code, a cut
+//    at every byte offset, and a record count no payload backs.
+//
 // Under MTSCOPE_SANITIZE=thread/address this binary doubles as the
 // tsan_ingest_smoke / asan_ingest_smoke sanitizer ctests.
 #include "ingest/window.hpp"
@@ -36,6 +39,7 @@
 #include <iterator>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -214,12 +218,128 @@ TEST_P(IngestDifferential, IncrementalWindowMatchesBatchAtEveryAdvanceStep) {
   EXPECT_GE(compared_steps, 2);
 }
 
-INSTANTIATE_TEST_SUITE_P(Grid, IngestDifferential, ::testing::ValuesIn(grid_cases()),
-                         [](const ::testing::TestParamInfo<GridCase>& info) {
-                           std::ostringstream os;
-                           os << info.param;
-                           return os.str();
-                         });
+INSTANTIATE_TEST_SUITE_P(Grid, IngestDifferential, ::testing::ValuesIn(grid_cases()));
+
+// ---------------------------------------------------------------------------
+// The MTFLOW reader's error paths: every documented code, reached from a
+// small valid stream by one cut or one overwritten byte.
+
+/// Header (24 B), one dataset of two records (21 B + 100 B payload), a day
+/// end (5 B) and a stream end (1 B).
+constexpr std::size_t kDatasetAt = 24;
+constexpr std::size_t kPayloadAt = kDatasetAt + 21;
+constexpr std::size_t kDayEndAt = kPayloadAt + 2 * ingest::kFlowRecordBytes;
+constexpr std::size_t kStreamEndAt = kDayEndAt + 5;
+
+std::string small_stream() {
+  std::ostringstream out;
+  ingest::FlowStreamWriter writer(out);
+  writer.write_header({42, true});
+  const auto flows = dataset_flows(42, 3, 0);
+  writer.write_dataset(3, kSampling, "CE1", std::span(flows).first(2));
+  writer.write_day_end(3);
+  writer.write_stream_end();
+  return out.str();
+}
+
+/// Read a whole stream: the first error's code, or "" when it ends cleanly.
+/// `flows` collects every dataset's records.
+std::string read_stream(const std::string& bytes, std::vector<flow::FlowRecord>* flows = nullptr) {
+  std::istringstream in(bytes);
+  ingest::FlowStreamReader reader(in);
+  const auto header = reader.read_header();
+  if (!header.ok()) return header.error().code;
+  for (;;) {
+    auto event = reader.next();
+    if (!event.ok()) return event.error().code;
+    if (event.value().kind == ingest::StreamEvent::Kind::kStreamEnd) return "";
+    if (flows != nullptr) {
+      flows->insert(flows->end(), event.value().flows.begin(), event.value().flows.end());
+    }
+  }
+}
+
+TEST(FlowStreamErrors, EveryDocumentedCode) {
+  const std::string valid = small_stream();
+  ASSERT_EQ(valid.size(), kStreamEndAt + 1);
+  std::vector<flow::FlowRecord> flows;
+  ASSERT_EQ(read_stream(valid, &flows), "");
+  const auto expected = dataset_flows(42, 3, 0);
+  EXPECT_EQ(flows, std::vector<flow::FlowRecord>(expected.begin(), expected.begin() + 2));
+
+  struct Case {
+    const char* name;
+    std::size_t cut;    // keep this many bytes
+    std::size_t at;     // then flip this byte (when < cut)...
+    std::uint8_t mask;  // ...by these bits
+    const char* code;
+  };
+  const std::size_t all = valid.size();
+  const Case cases[] = {
+      {"magic", all, 0, 0x20, "stream.bad_magic"},
+      {"version 1 -> 2", all, 8, 0x03, "stream.unsupported_version"},
+      {"header crc", all, 12, 0xff, "stream.bad_crc"},
+      {"payload crc", all, kPayloadAt + 60, 0xff, "stream.bad_crc"},
+      {"inside header", 10, all, 0, "stream.truncated"},
+      {"inside day-end frame", kDayEndAt + 3, all, 0, "stream.truncated"},
+      {"inside dataset fixed part", kDatasetAt + 5, all, 0, "stream.truncated"},
+      {"inside dataset vantage", kDatasetAt + 11, all, 0, "stream.truncated"},
+      {"inside payload", kPayloadAt + 50, all, 0, "stream.truncated"},
+      {"frame kind 3 -> 9", all, kStreamEndAt, 0x0a, "stream.bad_frame"},
+  };
+  for (const Case& c : cases) {
+    std::string bytes = valid.substr(0, c.cut);
+    if (c.at < bytes.size()) bytes[c.at] = static_cast<char>(bytes[c.at] ^ c.mask);
+    EXPECT_EQ(read_stream(bytes), c.code) << c.name;
+  }
+}
+
+TEST(FlowStreamErrors, EveryCutIsTypedOrEndsOnAFrameBoundary) {
+  const std::string valid = small_stream();
+  for (std::size_t cut = 0; cut < valid.size(); ++cut) {
+    const std::string code = read_stream(valid.substr(0, cut));
+    if (cut == kDatasetAt || cut == kDayEndAt || cut == kStreamEndAt) {
+      EXPECT_EQ(code, "") << "clean end expected at frame boundary " << cut;
+    } else {
+      EXPECT_EQ(code, "stream.truncated") << "cut at " << cut;
+    }
+  }
+}
+
+TEST(FlowStreamErrors, HugeRecordCountThenEofIsTruncatedNotAnAllocation) {
+  // A dataset frame declaring 0xFFFFFFFF records (~214 GB of payload) and
+  // then ending: the reader must fail at the stream's real length.
+  std::string bytes = small_stream().substr(0, kDatasetAt);
+  const std::uint8_t frame[] = {1,    3, 0, 0, 0,  // kind, day
+                                100,  0, 0, 0,     // sampling rate
+                                0,                 // vantage length
+                                0xff, 0xff, 0xff, 0xff,  // record count
+                                0,    0, 0, 0};    // payload crc
+  bytes.append(reinterpret_cast<const char*>(frame), sizeof(frame));
+  bytes.append(3 * ingest::kFlowRecordBytes, '\0');
+  EXPECT_EQ(read_stream(bytes), "stream.truncated");
+}
+
+TEST(FlowStreamErrors, MultiChunkPayloadRoundTripsAndIsSealed) {
+  // More records than the reader decodes per chunk, so the payload CRC
+  // spans chunks.
+  std::vector<flow::FlowRecord> records = dataset_flows(7, 0, 0);
+  const auto more = dataset_flows(7, 0, 1);
+  records.insert(records.end(), more.begin(), more.end());
+  std::ostringstream out;
+  ingest::FlowStreamWriter writer(out);
+  writer.write_header({7, true});
+  writer.write_dataset(0, kSampling, "CE1", records);
+  const std::string valid = out.str();
+
+  std::vector<flow::FlowRecord> flows;
+  ASSERT_EQ(read_stream(valid, &flows), "");
+  EXPECT_EQ(flows, records);
+
+  std::string flipped = valid;
+  flipped[flipped.size() - 1] ^= 0x01;  // the last record's last byte
+  EXPECT_EQ(read_stream(flipped), "stream.bad_crc");
+}
 
 // ---------------------------------------------------------------------------
 // Daemon-level differential over a real simulated flow stream.

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "flow/ipfix.hpp"
-#include "flow/netflow5.hpp"
 #include "net/headers.hpp"
 #include "net/pcap.hpp"
 #include "util/rng.hpp"
@@ -41,16 +40,6 @@ TEST_P(ParserFuzz, IpfixDecoderNeverCrashes) {
   for (int i = 0; i < 3000; ++i) {
     const auto bytes = random_bytes(rng, 256);
     (void)decoder.feed(bytes);  // ok() or error(), never UB
-  }
-  (void)decoder.drain();
-}
-
-TEST_P(ParserFuzz, NetflowDecoderNeverCrashes) {
-  util::Rng rng(GetParam() ^ 0x2222);
-  flow::NetflowV5Decoder decoder;
-  for (int i = 0; i < 3000; ++i) {
-    const auto bytes = random_bytes(rng, 256);
-    (void)decoder.feed(bytes);
   }
   (void)decoder.drain();
 }

@@ -69,6 +69,21 @@ TEST(Pcap, RejectsTruncatedBody) {
   EXPECT_EQ(read.error().code, "pcap.truncated");
 }
 
+TEST(Pcap, RejectsRecordLongerThanAnIpv4Packet) {
+  // snaplen and incl_len both 0xFFFFFFF0: the length must be refused before
+  // it sizes a ~4 GiB buffer, even though it is within the file's snaplen.
+  std::stringstream buffer;
+  PcapWriter writer(buffer, /*snaplen=*/0xFFFFFFF0u);
+  writer.write(0, std::vector<std::uint8_t>(40, 1));
+  std::string data = buffer.str();
+  constexpr std::size_t kInclLenAt = 24 + 8;  // global header, then sec + usec
+  data.replace(kInclLenAt, 4, "\xf0\xff\xff\xff", 4);
+  std::stringstream hostile(data);
+  auto read = read_pcap(hostile);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.error().code, "pcap.record");
+}
+
 TEST(Pcap, RejectsEmptyStream) {
   std::stringstream buffer;
   EXPECT_FALSE(read_pcap(buffer).ok());

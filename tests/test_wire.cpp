@@ -56,8 +56,9 @@ TEST(WireLayout, RequestFrameBytes) {
   EXPECT_EQ(bytes[1], 24u);  // plen
   EXPECT_EQ(bytes[2], 0u);   // reserved
   EXPECT_EQ(bytes[3], 0u);
-  EXPECT_EQ(util::le_get_u32(bytes, 4), request.addr.value());
-  EXPECT_EQ(util::le_get_u32(bytes, 8), util::crc32(std::span(bytes).first(8)));
+  util::ByteReader tail(std::span<const std::uint8_t>(bytes).subspan(4));
+  EXPECT_EQ(tail.le_u32(), request.addr.value());
+  EXPECT_EQ(tail.le_u32(), util::crc32(std::span(bytes).first(8)));
 }
 
 TEST(WireLayout, ResponseFrameBytes) {
@@ -76,10 +77,11 @@ TEST(WireLayout, ResponseFrameBytes) {
   EXPECT_EQ(bytes[1], 0u);  // class dark
   EXPECT_EQ(bytes[2], 0x03u);  // has_prefix | has_origin
   EXPECT_EQ(bytes[3], 8u);
-  EXPECT_EQ(util::le_get_u32(bytes, 4), response.addr.value());
-  EXPECT_EQ(util::le_get_u32(bytes, 8), response.prefix_base);
-  EXPECT_EQ(util::le_get_u32(bytes, 12), 65001u);
-  EXPECT_EQ(util::le_get_u32(bytes, 16), util::crc32(std::span(bytes).first(16)));
+  util::ByteReader tail(std::span<const std::uint8_t>(bytes).subspan(4));
+  EXPECT_EQ(tail.le_u32(), response.addr.value());
+  EXPECT_EQ(tail.le_u32(), response.prefix_base);
+  EXPECT_EQ(tail.le_u32(), 65001u);
+  EXPECT_EQ(tail.le_u32(), util::crc32(std::span(bytes).first(16)));
 }
 
 // ---------------------------------------------------------------------------
@@ -260,6 +262,23 @@ TEST(WireErrors, InvalidReasonMapping) {
   EXPECT_EQ(serve::wire::invalid_reason("wire.bad_plen"), InvalidReason::kBadPlen);
   EXPECT_EQ(serve::wire::invalid_reason("wire.bad_crc"), InvalidReason::kBadCrc);
   EXPECT_EQ(serve::wire::invalid_reason("wire.truncated"), InvalidReason::kBadCrc);
+}
+
+TEST(WireErrors, InvalidResponseEchoesAddrOnlyUnderItsSeal) {
+  // A field error under a good seal echoes the request's addr; a CRC
+  // failure means no field is trustworthy, so the echo is 0.
+  const auto bad_verb = corrupt_and_reseal_request(0, 9);
+  const auto invalid = serve::wire::invalid_response_for(
+      bad_verb, serve::wire::decode_request(bad_verb).error());
+  EXPECT_EQ(invalid, serve::wire::make_invalid_response(net::Ipv4Addr(0x0a000000u),
+                                                        InvalidReason::kBadVerb));
+
+  auto bad_crc = corrupt_and_reseal_request(0, 9);
+  bad_crc[8] ^= 0x01;
+  const auto unsealed = serve::wire::invalid_response_for(
+      bad_crc, serve::wire::decode_request(bad_crc).error());
+  EXPECT_EQ(unsealed,
+            serve::wire::make_invalid_response(net::Ipv4Addr(0), InvalidReason::kBadCrc));
 }
 
 // ---------------------------------------------------------------------------
